@@ -175,7 +175,8 @@ impl FuzzEngine for SqlancerFuzzer {
 mod tests {
     use super::*;
     use lego::affinity::corpus_affinities;
-    use lego::campaign::{run_campaign, Budget};
+    use lego::campaign::{run_campaign, Budget, CampaignOpts};
+    use lego::observe::Telemetry;
 
     #[test]
     fn cases_follow_the_template() {
@@ -200,7 +201,14 @@ mod tests {
     fn finds_no_bugs_in_a_budgeted_run() {
         for d in [Dialect::Postgres, Dialect::MySql, Dialect::MariaDb, Dialect::Comdb2] {
             let mut fz = SqlancerFuzzer::new(d, 3);
-            let stats = run_campaign(&mut fz, d, Budget::units(30_000));
+            let stats = run_campaign(
+                &mut fz,
+                d,
+                Budget::units(30_000),
+                &CampaignOpts::default(),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             assert_eq!(stats.bugs.len(), 0, "SQLancer found bugs on {d:?}");
         }
     }
@@ -210,7 +218,14 @@ mod tests {
         // More than SQUIRREL (whose sequences are frozen), far fewer than
         // LEGO — the Table II ordering.
         let mut fz = SqlancerFuzzer::new(Dialect::Postgres, 3);
-        run_campaign(&mut fz, Dialect::Postgres, Budget::units(30_000));
+        run_campaign(
+            &mut fz,
+            Dialect::Postgres,
+            Budget::units(30_000),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let aff = corpus_affinities(&fz.corpus()).len();
         assert!(aff > 5 && aff < 300, "affinities = {aff}");
     }

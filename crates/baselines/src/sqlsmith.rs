@@ -85,7 +85,8 @@ impl FuzzEngine for SqlsmithFuzzer {
 mod tests {
     use super::*;
     use lego::affinity::corpus_affinities;
-    use lego::campaign::{run_campaign, Budget};
+    use lego::campaign::{run_campaign, Budget, CampaignOpts};
+    use lego::observe::Telemetry;
 
     #[test]
     fn generates_only_selects() {
@@ -100,7 +101,14 @@ mod tests {
     #[test]
     fn corpus_is_single_statement_and_affinity_free() {
         let mut fz = SqlsmithFuzzer::new(Dialect::Postgres, 1);
-        run_campaign(&mut fz, Dialect::Postgres, Budget::units(20_000));
+        run_campaign(
+            &mut fz,
+            Dialect::Postgres,
+            Budget::units(20_000),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         assert!(!fz.corpus().is_empty());
         assert!(fz.corpus().iter().all(|c| c.len() == 1));
         assert_eq!(corpus_affinities(&fz.corpus()).len(), 0);
@@ -109,7 +117,14 @@ mod tests {
     #[test]
     fn gains_decent_coverage_on_postgres() {
         let mut fz = SqlsmithFuzzer::new(Dialect::Postgres, 1);
-        let stats = run_campaign(&mut fz, Dialect::Postgres, Budget::units(40_000));
+        let stats = run_campaign(
+            &mut fz,
+            Dialect::Postgres,
+            Budget::units(40_000),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         assert!(stats.branches > 300, "branches = {}", stats.branches);
         assert_eq!(stats.bugs.len(), 0, "SQLsmith should find no bugs");
     }

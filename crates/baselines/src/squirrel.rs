@@ -55,12 +55,20 @@ impl FuzzEngine for SquirrelFuzzer {
 mod tests {
     use super::*;
     use lego::affinity::corpus_affinities;
-    use lego::campaign::{run_campaign, Budget};
+    use lego::campaign::{run_campaign, Budget, CampaignOpts};
+    use lego::observe::Telemetry;
 
     #[test]
     fn squirrel_never_changes_type_sequences() {
         let mut fz = SquirrelFuzzer::new(Dialect::Postgres, 7);
-        let stats = run_campaign(&mut fz, Dialect::Postgres, Budget::units(30_000));
+        let stats = run_campaign(
+            &mut fz,
+            Dialect::Postgres,
+            Budget::units(30_000),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         // Every retained case's type sequence must equal one of the seeds'.
         let seed_seqs: Vec<Vec<lego_sqlast::StmtKind>> =
             lego::seeds::initial_corpus(Dialect::Postgres)
@@ -80,7 +88,14 @@ mod tests {
     #[test]
     fn squirrel_corpus_affinities_stay_tiny() {
         let mut fz = SquirrelFuzzer::new(Dialect::MariaDb, 7);
-        run_campaign(&mut fz, Dialect::MariaDb, Budget::units(30_000));
+        run_campaign(
+            &mut fz,
+            Dialect::MariaDb,
+            Budget::units(30_000),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let aff = corpus_affinities(&fz.corpus()).len();
         assert!(aff < 60, "SQUIRREL found {aff} affinities — too many");
     }

@@ -11,7 +11,7 @@
 //!   noise).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use lego::campaign::{run_campaign_observed, run_campaign_parallel, Budget, ParallelOpts};
+use lego::campaign::{run_campaign, run_campaign_parallel, Budget, CampaignOpts, ParallelOpts};
 use lego::observe::{NoopSink, Telemetry};
 use lego_baselines::engine_by_name;
 use lego_bench::grid::run_grid;
@@ -58,7 +58,15 @@ fn fig9_like_grid(workers: usize) -> usize {
         .map(|&(d, f)| {
             move || {
                 let mut engine = engine_by_name(f, d, 9);
-                lego::campaign::run_campaign(engine.as_mut(), d, Budget::units(8_000)).branches
+                lego::campaign::run_campaign(
+                    engine.as_mut(),
+                    d,
+                    Budget::units(8_000),
+                    &CampaignOpts::default(),
+                    &Telemetry::disabled(),
+                )
+                .unwrap()
+                .branches
             }
         })
         .collect();
@@ -85,7 +93,10 @@ fn sharded_campaign(workers: usize) -> usize {
         Dialect::MariaDb,
         Budget::units(40_000),
         ParallelOpts { workers, sync_every: 16 },
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
     )
+    .unwrap()
     .branches
 }
 
@@ -99,7 +110,15 @@ fn bench_sharded(c: &mut Criterion) {
 
 fn observed_campaign(tel: &Telemetry) -> usize {
     let mut engine = engine_by_name("LEGO", Dialect::MariaDb, 9);
-    run_campaign_observed(engine.as_mut(), Dialect::MariaDb, Budget::units(20_000), tel).branches
+    run_campaign(
+        engine.as_mut(),
+        Dialect::MariaDb,
+        Budget::units(20_000),
+        &CampaignOpts::default(),
+        tel,
+    )
+    .unwrap()
+    .branches
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {

@@ -5,10 +5,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lego::affinity::AffinityMap;
-use lego::campaign::{run_campaign, Budget};
+use lego::campaign::{run_campaign, Budget, CampaignOpts};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::gen::{gen_statement, SchemaModel};
 use lego::instantiate::{instantiate, AstLibrary};
+use lego::observe::Telemetry;
 use lego::synthesis::SequenceStore;
 use lego_baselines::engine_by_name;
 use lego_coverage::{CovRecorder, GlobalCoverage, SiteId};
@@ -122,14 +123,30 @@ fn bench_campaigns(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut engine = engine_by_name(name, Dialect::MariaDb, 9);
-                run_campaign(engine.as_mut(), Dialect::MariaDb, Budget::units(10_000)).branches
+                run_campaign(
+                    engine.as_mut(),
+                    Dialect::MariaDb,
+                    Budget::units(10_000),
+                    &CampaignOpts::default(),
+                    &Telemetry::disabled(),
+                )
+                .unwrap()
+                .branches
             })
         });
     }
     group.bench_function("LEGO_postgres", |b| {
         b.iter(|| {
             let mut fz = LegoFuzzer::new(Dialect::Postgres, Config::default());
-            run_campaign(&mut fz, Dialect::Postgres, Budget::units(10_000)).branches
+            run_campaign(
+                &mut fz,
+                Dialect::Postgres,
+                Budget::units(10_000),
+                &CampaignOpts::default(),
+                &Telemetry::disabled(),
+            )
+            .unwrap()
+            .branches
         })
     });
     group.finish();

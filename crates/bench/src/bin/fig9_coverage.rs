@@ -8,6 +8,7 @@
 //! Usage: `fig9_coverage [UNITS] [--workers N]` — the fuzzer×dialect cells
 //! run across a worker pool; results are identical for any worker count.
 
+use lego::campaign::{CampaignOpts, ParallelOpts};
 use lego_bench::grid::{run_grid, Cli};
 use lego_bench::*;
 use lego_sqlast::Dialect;
@@ -39,10 +40,12 @@ fn main() {
         .collect();
     let mut guard = build_telemetry(&cli, DEFAULT_SEED);
     let tel = &guard.tel;
+    let serial = ParallelOpts { workers: 1, ..ParallelOpts::default() };
+    let opts = &CampaignOpts::default();
     let jobs: Vec<_> = pairs
         .iter()
         .map(|&(dialect, fuzzer)| {
-            move || campaign_observed(fuzzer, dialect, units, DEFAULT_SEED, tel)
+            move || campaign(fuzzer, dialect, units, DEFAULT_SEED, serial, opts, tel)
         })
         .collect();
     let stats = run_grid(jobs, cli.workers);

@@ -5,7 +5,7 @@
 //! Usage: `knob_ablation [UNITS] [--workers N]` — one grid cell per knob
 //! setting; results are identical for any worker count.
 
-use lego::campaign::{run_campaign_observed, Budget};
+use lego::campaign::{run_campaign, Budget, CampaignOpts};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego_bench::grid::{run_grid, Cli};
 use lego_bench::*;
@@ -57,6 +57,7 @@ fn main() {
 
     let mut guard = build_telemetry(&cli, DEFAULT_SEED);
     let tel = &guard.tel;
+    let opts = &CampaignOpts::default();
     let jobs: Vec<_> = specs
         .iter()
         .map(|(_, _, mutate)| {
@@ -64,7 +65,7 @@ fn main() {
                 let mut cfg = Config { rng_seed: DEFAULT_SEED, ..Config::default() };
                 mutate(&mut cfg);
                 let mut fz = LegoFuzzer::new(Dialect::MariaDb, cfg);
-                run_campaign_observed(&mut fz, Dialect::MariaDb, Budget::units(units), tel)
+                run_campaign(&mut fz, Dialect::MariaDb, Budget::units(units), opts, tel).unwrap()
             }
         })
         .collect();

@@ -65,7 +65,7 @@
 //! interrupted campaign and produces the byte-identical deterministic
 //! report of an uninterrupted run.
 
-use lego::campaign::{run_campaign_sema, Budget, FuzzEngine};
+use lego::campaign::{run_campaign, Budget, CampaignOpts, FuzzEngine};
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};
 use lego::corpus_io::{load_corpus, save_corpus};
 use lego::fuzzer::{Config, LegoFuzzer};
@@ -355,16 +355,12 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
         plot_every_ms,
         run_name: format!("fuzz_{}", dialect.name()),
     });
-    let stats = match run_campaign_sema(
+    let stats = match run_campaign(
         engine.as_mut(),
         dialect,
         Budget::units(units),
+        &CampaignOpts { oracles, ckpt, wal_dir, rule_cov, sema },
         &guard.tel,
-        oracles,
-        &ckpt,
-        wal_dir.as_deref(),
-        rule_cov,
-        sema,
     ) {
         Ok(stats) => stats,
         Err(e) => {

@@ -8,7 +8,7 @@
 //! Usage: `len_ablation [UNITS] [SEEDS] [--workers N]` — one grid cell per
 //! (LEN, seed) pair; results are identical for any worker count.
 
-use lego::campaign::{run_campaign_observed, Budget};
+use lego::campaign::{run_campaign, Budget, CampaignOpts};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego_bench::grid::{run_grid, Cli};
 use lego_bench::*;
@@ -37,6 +37,7 @@ fn main() {
         [3usize, 5, 8].into_iter().flat_map(|len| (0..seeds).map(move |s| (len, s))).collect();
     let mut guard = build_telemetry(&cli, DEFAULT_SEED);
     let tel = &guard.tel;
+    let opts = &CampaignOpts::default();
     let jobs: Vec<_> = specs
         .iter()
         .map(|&(len, s)| {
@@ -49,7 +50,7 @@ fn main() {
                     ..Config::default()
                 };
                 let mut fz = LegoFuzzer::new(Dialect::MariaDb, cfg);
-                run_campaign_observed(&mut fz, Dialect::MariaDb, Budget::units(units), tel)
+                run_campaign(&mut fz, Dialect::MariaDb, Budget::units(units), opts, tel).unwrap()
             }
         })
         .collect();

@@ -6,6 +6,7 @@
 //! identifiers — the same layout as the paper's Table I, which reports 102
 //! bugs (PostgreSQL 6, MySQL 21, MariaDB 42, Comdb2 33) and 22 CVEs.
 
+use lego::campaign::{CampaignOpts, ParallelOpts};
 use lego_bench::grid::{run_grid, Cli};
 use lego_bench::*;
 use lego_dbms::bugs;
@@ -52,14 +53,14 @@ fn main() {
                 .as_ref()
                 .map(|base| base.join(format!("{}_s{s}", dialect.name().to_lowercase())));
             move || {
-                campaign_durable(
+                campaign(
                     "LEGO",
                     dialect,
                     units,
                     DEFAULT_SEED + s as u64 * 7717,
+                    ParallelOpts { workers: 1, ..ParallelOpts::default() },
+                    &CampaignOpts { oracles, wal_dir: cell_wal, ..CampaignOpts::default() },
                     tel,
-                    oracles,
-                    cell_wal.as_deref(),
                 )
             }
         })

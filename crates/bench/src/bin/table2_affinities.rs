@@ -5,6 +5,7 @@
 //! is LEGO ≫ SQLancer > SQUIRREL, with SQLsmith excluded because its
 //! generated test cases contain a single statement.
 
+use lego::campaign::{CampaignOpts, ParallelOpts};
 use lego_bench::grid::{run_grid, Cli};
 use lego_bench::*;
 use lego_sqlast::Dialect;
@@ -33,10 +34,12 @@ fn main() {
         .collect();
     let mut guard = build_telemetry(&cli, DEFAULT_SEED);
     let tel = &guard.tel;
+    let serial = ParallelOpts { workers: 1, ..ParallelOpts::default() };
+    let opts = &CampaignOpts::default();
     let jobs: Vec<_> = specs
         .iter()
         .map(|&(dialect, fuzzer)| {
-            move || campaign_observed(fuzzer, dialect, units, DEFAULT_SEED, tel)
+            move || campaign(fuzzer, dialect, units, DEFAULT_SEED, serial, opts, tel)
         })
         .collect();
     let stats = run_grid(jobs, cli.workers);

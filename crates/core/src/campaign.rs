@@ -2,25 +2,28 @@
 //! for a fixed execution budget, collecting the paper's evaluation metrics
 //! (branch coverage over time, deduplicated bugs, corpus affinities).
 
+mod findings;
+
 use crate::affinity::corpus_affinities;
 use crate::checkpoint::{
-    self, CheckpointCfg, CheckpointMeta, FindingCk, LogicFindingCk, SnapCk, WorkerCheckpoint,
-    WorkerResume, CHECKPOINT_VERSION,
+    self, CheckpointCfg, CheckpointMeta, FindingCk, SnapCk, WorkerCheckpoint, WorkerResume,
+    CHECKPOINT_VERSION,
+};
+use findings::{
+    logic_findings_out, rebuild_bugs, rebuild_logic_bugs, replay_divergence, sema_bug,
+    sorted_pairs, triage_crash, OracleRuntime, SemaRuntime,
 };
 use lego_coverage::{CovMap, CovRecorder, CoverageSink, GlobalCoverage};
-use lego_dbms::{CrashReport, Dbms, ExecReport, Outcome, PANIC_BUG_ID};
+use lego_dbms::{CrashReport, Dbms, ExecReport, Outcome};
 use lego_observe::{Event, Stage, StageProfile, Telemetry};
-use lego_oracle::{
-    reduce::{reduce_logic_bug, reduce_with},
-    LogicBug, OracleConfig, OracleKind, OracleSuite,
-};
+use lego_oracle::{LogicBug, OracleConfig, OracleKind};
 use lego_sqlast::{Dialect, TestCase};
-use lego_sqlsema::{Sema, SeqReport, Verdict};
+use lego_sqlsema::SeqReport;
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A fuzzing engine: produces test cases, receives coverage feedback.
@@ -250,262 +253,10 @@ impl CampaignStats {
     }
 }
 
-/// Per-campaign (or per-worker) logic-bug oracle state: the replay suite,
-/// fingerprint dedup, findings, and the check counter. With oracles disabled
-/// every call is a no-op costing one branch, keeping the hot loop unchanged.
-struct OracleRuntime {
-    suite: Option<OracleSuite>,
-    seen: HashMap<u64, usize>,
-    findings: Vec<LogicBugFinding>,
-    checks: usize,
-}
-
-impl OracleRuntime {
-    fn new(dialect: Dialect, cfg: OracleConfig, wal_dir: Option<&Path>, worker: usize) -> Self {
-        Self {
-            suite: cfg.enabled().then(|| OracleSuite::with_wal(dialect, cfg, wal_dir, worker)),
-            seen: HashMap::new(),
-            findings: Vec::new(),
-            checks: 0,
-        }
-    }
-
-    /// Run the configured oracles over one corpus-accepted case. New
-    /// (fingerprint-deduplicated) findings are reduced immediately, like
-    /// crash triage. Returns the statement units consumed, which the caller
-    /// charges to the campaign budget. The logic oracles are timed as
-    /// [`Stage::Oracle`], the recovery oracle as [`Stage::Recovery`].
-    fn check(&mut self, case: &TestCase, worker: usize, exec: usize, tel: &Telemetry) -> usize {
-        let Some(suite) = self.suite.as_mut() else { return 0 };
-        let mut out = tel.time(Stage::Oracle, || suite.check_case_logic(case));
-        let rec = tel.time(Stage::Recovery, || suite.check_case_recovery(case));
-        out.bugs.extend(rec.bugs);
-        out.checks += rec.checks;
-        out.execs += rec.execs;
-        let mut spent = out.execs;
-        self.checks += out.checks;
-        for bug in out.bugs {
-            let fp = bug.fingerprint();
-            if let std::collections::hash_map::Entry::Vacant(e) = self.seen.entry(fp) {
-                e.insert(exec);
-                let durability = bug.oracle == OracleKind::Recovery;
-                let stage = if durability { Stage::Recovery } else { Stage::Oracle };
-                let (reduced, evals) = tel.time(stage, || reduce_logic_bug(case, suite, &bug));
-                spent += evals;
-                if durability {
-                    tel.emit(|| Event::DurabilityBugFound {
-                        worker,
-                        exec: exec as u64,
-                        fingerprint: fp,
-                    });
-                } else {
-                    tel.emit(|| Event::LogicBugFound {
-                        worker,
-                        exec: exec as u64,
-                        oracle: bug.oracle.name().to_string(),
-                        fingerprint: fp,
-                    });
-                }
-                self.findings.push(LogicBugFinding {
-                    bug,
-                    first_exec: exec,
-                    case_sql: case.to_sql(),
-                    reduced_sql: reduced.to_sql(),
-                });
-            }
-        }
-        spent
-    }
-
-    /// Restore dedup state and findings from a checkpoint. `findings` must
-    /// already be re-derived (see [`rebuild_logic_bugs`]); `checks` overwrites
-    /// whatever the re-derivation replays cost, since those replays are
-    /// bookkeeping, not campaign work.
-    fn restore(&mut self, seen: &[(u64, usize)], findings: Vec<LogicBugFinding>, checks: usize) {
-        self.seen = seen.iter().copied().collect();
-        self.findings = findings;
-        self.checks = checks;
-    }
-}
-
 /// Every how-many-th statically-rejected case executes anyway, as an audit
 /// of the analyzer against the real engine. A deterministic counter, not a
 /// probability, so serial and resumed runs agree on which cases audit.
 pub const SEMA_AUDIT_EVERY: usize = 16;
-
-/// Per-campaign (or per-worker) static-analysis state for `--sema` runs:
-/// the analyzer itself, the skip/audit counters, and the conformance-oracle
-/// dedup + findings. The campaign holds it as an `Option` so a sema-less run
-/// touches none of this.
-struct SemaRuntime {
-    sema: Sema,
-    /// Statically-rejected cases seen so far; every
-    /// [`SEMA_AUDIT_EVERY`]-th one executes anyway.
-    audit: usize,
-    /// Statements proven invalid across the campaign.
-    rejects: usize,
-    /// Statements of skipped cases — never attempted on the engine.
-    skipped_stmts: usize,
-    /// Divergence fingerprint → first exec.
-    seen: HashMap<u64, usize>,
-    findings: Vec<LogicBugFinding>,
-}
-
-/// The first analyzer-vs-engine disagreement in an executed case, as
-/// `(statement index, analyzer_accepted, engine error text)`. Only
-/// meaningful when the case ran to completion (`Outcome::Ok`): parse errors,
-/// crashes and aborted cases leave no trustworthy per-statement outcome.
-fn first_divergence(rep: &SeqReport, report: &ExecReport) -> Option<(usize, bool, String)> {
-    for (i, v) in rep.verdicts.iter().enumerate() {
-        if i >= report.statements_executed {
-            break;
-        }
-        let engine_err = report.stmt_errors.iter().position(|&e| e == i);
-        match (v.verdict, engine_err) {
-            (Verdict::Accept, Some(k)) => {
-                return Some((i, true, report.errors.get(k).cloned().unwrap_or_default()))
-            }
-            (Verdict::Reject, None) => {
-                return Some((i, false, v.reason.unwrap_or("rejected").to_string()))
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Does `case` still exhibit a sema divergence in the given direction?
-/// Deterministic (fresh analyzer + fresh engine per candidate), as
-/// [`reduce_with`] requires.
-fn sema_still_diverges(dialect: Dialect, case: &TestCase, analyzer_accepted: bool) -> bool {
-    let rep = Sema::new(dialect).check_sequence(&case.statements);
-    let mut db = Dbms::new(dialect);
-    let out = db.execute_case(case);
-    matches!(out.outcome, Outcome::Ok)
-        && first_divergence(&rep, &out).is_some_and(|(_, acc, _)| acc == analyzer_accepted)
-}
-
-impl SemaRuntime {
-    fn new(dialect: Dialect) -> Self {
-        Self {
-            sema: Sema::new(dialect),
-            audit: 0,
-            rejects: 0,
-            skipped_stmts: 0,
-            seen: HashMap::new(),
-            findings: Vec::new(),
-        }
-    }
-
-    /// Conformance oracle over one *executed* case: compare the analyzer's
-    /// per-statement verdicts with what the engine actually did. A fresh
-    /// (fingerprint-deduplicated) divergence is ddmin-reduced immediately,
-    /// like crash and logic-bug triage; returns the statement units the
-    /// reduction consumed. Timed as [`Stage::Sema`].
-    #[allow(clippy::too_many_arguments)]
-    fn conformance(
-        &mut self,
-        case: &TestCase,
-        rep: &SeqReport,
-        report: &ExecReport,
-        dialect: Dialect,
-        worker: usize,
-        exec: usize,
-        tel: &Telemetry,
-    ) -> usize {
-        if !matches!(report.outcome, Outcome::Ok) {
-            return 0;
-        }
-        let Some((idx, analyzer_accepted, why)) = first_divergence(rep, report) else {
-            return 0;
-        };
-        let bug = LogicBug {
-            oracle: OracleKind::Sema,
-            dialect,
-            statement: idx,
-            query: case.statements[idx].to_string(),
-            detail: if analyzer_accepted {
-                format!("analyzer accepted statement {idx} but the engine rejected it: {why}")
-            } else {
-                format!("analyzer rejected statement {idx} ({why}) but the engine accepted it")
-            },
-        };
-        let fp = bug.fingerprint();
-        let std::collections::hash_map::Entry::Vacant(e) = self.seen.entry(fp) else {
-            return 0;
-        };
-        e.insert(exec);
-        let (reduced, evals) = tel.time(Stage::Sema, || {
-            reduce_with(case, |cand| sema_still_diverges(dialect, cand, analyzer_accepted))
-        });
-        tel.emit(|| Event::SemaDivergenceFound { worker, exec: exec as u64, fingerprint: fp });
-        self.findings.push(LogicBugFinding {
-            bug,
-            first_exec: exec,
-            case_sql: case.to_sql(),
-            reduced_sql: reduced.to_sql(),
-        });
-        evals
-    }
-
-    /// Restore counters, dedup state and re-derived findings from a
-    /// checkpoint (see [`rebuild_sema_findings`]).
-    fn restore(&mut self, w: &WorkerResume, findings: Vec<LogicBugFinding>) {
-        self.audit = w.sema_audit;
-        self.rejects = w.sema_rejects;
-        self.skipped_stmts = w.sema_skipped_stmts;
-        self.seen = w.sema_seen.iter().copied().collect();
-        self.findings = findings;
-    }
-}
-
-/// Re-derive sema-divergence [`LogicBugFinding`]s from checkpointed
-/// reproducers by replaying each case through analyzer + engine and matching
-/// the stored fingerprint. The sema conformance oracle has no
-/// [`OracleSuite`], so these cannot ride [`rebuild_logic_bugs`].
-fn rebuild_sema_findings(
-    dialect: Dialect,
-    findings: &[LogicFindingCk],
-) -> Result<Vec<LogicBugFinding>, String> {
-    let sema = Sema::new(dialect);
-    let mut db = Dbms::new(dialect);
-    findings
-        .iter()
-        .map(|f| {
-            let case = lego_sqlparser::parse_script(&f.case_sql)
-                .map_err(|e| format!("checkpointed sema case re-parse: {e:?}"))?;
-            let rep = sema.check_sequence(&case.statements);
-            db.reset();
-            let out = db.execute_case(&case);
-            let (idx, analyzer_accepted, why) = first_divergence(&rep, &out).ok_or_else(|| {
-                format!("checkpointed sema divergence no longer reproduces: {}", f.case_sql)
-            })?;
-            let bug = LogicBug {
-                oracle: OracleKind::Sema,
-                dialect,
-                statement: idx,
-                query: case.statements[idx].to_string(),
-                detail: if analyzer_accepted {
-                    format!("analyzer accepted statement {idx} but the engine rejected it: {why}")
-                } else {
-                    format!("analyzer rejected statement {idx} ({why}) but the engine accepted it")
-                },
-            };
-            if bug.fingerprint() != f.fingerprint {
-                return Err(format!(
-                    "checkpointed sema divergence {:#x} re-derived with a different fingerprint: {}",
-                    f.fingerprint, f.case_sql
-                ));
-            }
-            Ok(LogicBugFinding {
-                bug,
-                first_exec: f.first_exec,
-                case_sql: f.case_sql.clone(),
-                reduced_sql: f.reduced_sql.clone(),
-            })
-        })
-        .collect()
-}
 
 /// The synthetic report a statically-skipped case feeds back to the engine:
 /// zero statements executed, empty coverage, `Ok` outcome.
@@ -534,10 +285,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Execute one case with panic isolation: an engine panic is converted into
-/// a synthetic [`CrashReport`] (bug id [`PANIC_BUG_ID`], stack keyed by the
-/// panic message) instead of unwinding through the campaign loop. The DBMS
-/// instance is left in an unspecified state; the campaign's per-case
-/// `db.reset()` restores it to a fresh one before its next use.
+/// a synthetic [`CrashReport`] (bug id [`lego_dbms::PANIC_BUG_ID`], stack
+/// keyed by the panic message) instead of unwinding through the campaign
+/// loop. The DBMS instance is left in an unspecified state; the campaign's
+/// per-case `db.reset()` restores it to a fresh one before its next use.
 pub(crate) fn execute_case_isolated(
     db: &mut Dbms,
     dialect: Dialect,
@@ -549,200 +300,171 @@ pub(crate) fn execute_case_isolated(
     }
 }
 
-/// Crash triage for one deduplicated finding. Panic findings skip delta
-/// debugging: re-executing prefixes of a panicking case would re-trip the
-/// panic for *every* candidate, so the reproducer is kept whole.
-fn triage_crash(
-    case: &TestCase,
-    dialect: Dialect,
-    crash: &CrashReport,
-    tel: &Telemetry,
-) -> (String, usize) {
-    if crash.bug_id == PANIC_BUG_ID {
-        return (case.to_sql(), 0);
-    }
-    let (reduced, spent) =
-        tel.time(Stage::Dedup, || crate::reduce::reduce_case(case, dialect, crash));
-    (reduced.to_sql(), spent)
+/// Everything a campaign can switch on besides its engine, dialect and
+/// budget. `Default` is the bare campaign: no oracles, no checkpoints, no
+/// rule coverage, no analyzer. Every option leaves the campaign a
+/// deterministic function of (engine seeds, worker count, options).
+#[derive(Clone, Debug, Default)]
+pub struct CampaignOpts {
+    /// Correctness oracles. After every corpus-accepted (new-coverage,
+    /// non-crashing) case the configured oracles replay it on dedicated DBMS
+    /// instances; deduplicated wrong-result findings go through the same
+    /// reduce/report pipeline as crashes. Oracle replays never feed coverage
+    /// back into the campaign, and their statement executions are charged to
+    /// the unit budget like crash-triage executions.
+    pub oracles: OracleConfig,
+    /// Checkpoint cadence, directory and resume state. With
+    /// `ckpt.every_units > 0` every lane performs a reseed barrier and (if
+    /// `ckpt.dir` is set) persists its complete state every `every_units`
+    /// statement units. A run resumed from such a checkpoint produces the
+    /// byte-identical [`CampaignStats::deterministic_json`] of an
+    /// uninterrupted run *with the same cadence* — the cadence is part of the
+    /// campaign configuration because each barrier reseeds the engine RNG.
+    pub ckpt: CheckpointCfg,
+    /// WAL directory for the recovery oracle (`oracles.recovery`). `None`
+    /// journals under the system temp dir; each lane journals to its own
+    /// `worker{NN}.wal`. The WAL location never influences findings.
+    pub wal_dir: Option<PathBuf>,
+    /// Grammar-rule coverage: every non-aborted case is re-parsed through the
+    /// instrumented grammar ([`lego_sqlparser::parse_script_traced`]) and its
+    /// rule→rule edges are merged into a second virgin map; rule novelty
+    /// admits cases the branch map alone would reject and triggers
+    /// [`FuzzEngine::rule_feedback`].
+    pub rule_cov: bool,
+    /// Static sequence analyzer: every case is classified by the
+    /// `lego-sqlsema` binder before execution. Provably-invalid cases skip
+    /// the engine entirely (charged only their statement count, like the
+    /// cheapest possible failing run), every [`SEMA_AUDIT_EVERY`]-th rejected
+    /// case executes anyway as an audit, and executed cases are compared
+    /// statement by statement against the analyzer's verdicts —
+    /// disagreements become deduplicated, ddmin-reduced [`OracleKind::Sema`]
+    /// findings in [`CampaignStats::logic_bugs`].
+    pub sema: bool,
 }
 
-/// Re-derive full [`BugFinding`]s from checkpointed reproducers by replaying
-/// each stored case through the isolated executor. Fails loudly if a stored
-/// crash no longer reproduces (the environment changed under the checkpoint).
-/// Replay executions are bookkeeping, not campaign work — nothing is charged
-/// to the unit budget.
-fn rebuild_bugs(dialect: Dialect, findings: &[FindingCk]) -> Result<Vec<BugFinding>, String> {
-    let mut db = Dbms::new(dialect);
-    findings
-        .iter()
-        .map(|f| {
-            let case = lego_sqlparser::parse_script(&f.case_sql)
-                .map_err(|e| format!("checkpointed crash case re-parse: {e:?}"))?;
-            db.reset();
-            let report = execute_case_isolated(&mut db, dialect, &case);
-            let crash = report.crash().cloned().ok_or_else(|| {
-                format!("checkpointed crash no longer reproduces: {}", f.case_sql)
-            })?;
-            Ok(BugFinding {
-                crash,
-                first_exec: f.first_exec,
-                case_sql: f.case_sql.clone(),
-                reduced_sql: f.reduced_sql.clone(),
-            })
-        })
-        .collect()
-}
-
-/// Re-derive [`LogicBugFinding`]s by replaying each stored case through the
-/// oracle suite and matching the checkpointed fingerprint.
-fn rebuild_logic_bugs(
-    oracle_rt: &mut OracleRuntime,
-    findings: &[LogicFindingCk],
-) -> Result<Vec<LogicBugFinding>, String> {
-    if findings.is_empty() {
-        return Ok(Vec::new());
-    }
-    let suite = oracle_rt
-        .suite
-        .as_mut()
-        .ok_or("checkpoint has logic-bug findings but oracles are disabled")?;
-    findings
-        .iter()
-        .map(|f| {
-            let case = lego_sqlparser::parse_script(&f.case_sql)
-                .map_err(|e| format!("checkpointed logic-bug case re-parse: {e:?}"))?;
-            let out = suite.check_case(&case);
-            let bug = out.bugs.into_iter().find(|b| b.fingerprint() == f.fingerprint).ok_or_else(
-                || {
-                    format!(
-                        "checkpointed logic bug {:#x} no longer reproduces: {}",
-                        f.fingerprint, f.case_sql
-                    )
-                },
-            )?;
-            Ok(LogicBugFinding {
-                bug,
-                first_exec: f.first_exec,
-                case_sql: f.case_sql.clone(),
-                reduced_sql: f.reduced_sql.clone(),
-            })
-        })
-        .collect()
-}
-
-/// Run one engine against one DBMS for the budget (serial path, no
-/// telemetry). Exactly [`run_campaign_observed`] with a disabled handle.
+/// Run one caller-owned engine against one DBMS for the budget: a one-lane
+/// campaign on the caller's thread. The engine need not be `Send`, and a
+/// panic outside the per-case isolation boundary propagates to the caller.
+///
+/// Every case executes behind a panic-isolation boundary
+/// (`execute_case_isolated`): an engine panic becomes a deduplicated
+/// synthetic crash finding instead of killing the campaign. Telemetry never
+/// influences the campaign: events carry only logical time, and with a
+/// disabled handle every instrument point is a single branch.
+///
+/// Errors only on checkpoint I/O failure or an inconsistent resume.
 pub fn run_campaign(
     engine: &mut dyn FuzzEngine,
     dialect: Dialect,
     budget: Budget,
-) -> CampaignStats {
-    run_campaign_observed(engine, dialect, budget, &Telemetry::disabled())
-}
-
-/// Run one engine against one DBMS for the budget (serial path), reporting
-/// progress through `tel`. Telemetry never influences the campaign: events
-/// carry only logical time, and with a disabled handle every instrument
-/// point is a single branch.
-pub fn run_campaign_observed(
-    engine: &mut dyn FuzzEngine,
-    dialect: Dialect,
-    budget: Budget,
+    opts: &CampaignOpts,
     tel: &Telemetry,
-) -> CampaignStats {
-    run_campaign_with_oracles(engine, dialect, budget, tel, OracleConfig::disabled())
+) -> Result<CampaignStats, String> {
+    // wall-clock only: feeds wall_ms / execs_per_sec, which
+    // deterministic_json() strips. Never consulted for exploration decisions.
+    let start = Instant::now();
+    let out = Campaign::new(dialect, budget, 1, 0, opts).and_then(|c| {
+        let lane = c.run_lane(engine, 0, budget.units, tel)?;
+        Ok(c.join(vec![Some(lane)], 0, tel, start))
+    });
+    if out.is_err() {
+        // A dying campaign still owes the operator a closing heartbeat line
+        // and flushed sinks (the success path does this in finish_telemetry).
+        tel.finish();
+    }
+    out
 }
 
-/// [`run_campaign_observed`] plus correctness oracles: after every
-/// corpus-accepted (new-coverage, non-crashing) case, the configured oracles
-/// replay it on dedicated DBMS instances; deduplicated wrong-result findings
-/// go through the same reduce/report pipeline as crashes. Oracle replays
-/// never feed coverage back into the campaign, and their statement
-/// executions are charged to the unit budget like crash-triage executions —
-/// an oracle-enabled campaign trades some fuzzing throughput for checking,
-/// exactly as a real one would. The run stays a deterministic function of
-/// (engine seed, worker count, oracle config).
-pub fn run_campaign_with_oracles(
-    engine: &mut dyn FuzzEngine,
-    dialect: Dialect,
-    budget: Budget,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-) -> CampaignStats {
-    run_campaign_resilient(engine, dialect, budget, tel, oracles, &CheckpointCfg::disabled())
-        .expect("campaign with checkpointing disabled cannot fail")
-}
-
-/// [`run_campaign_with_oracles`] plus fault tolerance and checkpoint/resume.
+/// Run one campaign across `par.workers` lanes, one thread each.
 ///
-/// * Every case executes behind a panic-isolation boundary
-///   ([`execute_case_isolated`]): an engine panic becomes a deduplicated
-///   synthetic crash finding instead of killing the campaign.
-/// * With `ckpt.every_units > 0`, the campaign performs a reseed barrier and
-///   (if `ckpt.dir` is set) persists its complete state every `every_units`
-///   statement units. A run resumed from such a checkpoint produces the
-///   byte-identical [`CampaignStats::deterministic_json`] of an uninterrupted
-///   run *with the same cadence* — the cadence is part of the campaign
-///   configuration because each barrier reseeds the engine RNG.
+/// The budget is statically partitioned into per-lane slices; each lane owns
+/// an engine shard (built by `factory(worker_index)` on its own thread, which
+/// should give every shard a distinct RNG seed), a reusable DBMS instance and
+/// a local coverage shard. Lanes publish their shards into a shared map every
+/// `par.sync_every` cases and the join merges curves, bugs and corpora in
+/// worker order, so the result depends only on the factory seeds and the
+/// worker count — not on thread scheduling. Each lane reports through a
+/// [`Telemetry::worker_child`] whose buffered events the join replays into
+/// `tel` in worker order. With `workers <= 1` this is exactly
+/// [`run_campaign`] on `factory(0)`.
 ///
-/// Errors only on checkpoint I/O failure or an inconsistent resume.
-pub fn run_campaign_resilient(
-    engine: &mut dyn FuzzEngine,
+/// A lane that panics *outside* the per-case isolation boundary does not
+/// bring the campaign down: the join records an [`Event::WorkerDied`],
+/// counts it in [`CampaignStats::workers_lost`], and merges the survivors
+/// (the shared coverage map keeps whatever the dead lane had synced). Each
+/// lane checkpoints independently at its own unit boundaries; resume picks
+/// the newest sequence number complete across *all* lanes and requires the
+/// worker count the checkpoint was taken with.
+pub fn run_campaign_parallel<F>(
+    factory: F,
     dialect: Dialect,
     budget: Budget,
+    par: ParallelOpts,
+    opts: &CampaignOpts,
     tel: &Telemetry,
-    oracles: OracleConfig,
-    ckpt: &CheckpointCfg,
-) -> Result<CampaignStats, String> {
-    run_campaign_durable(engine, dialect, budget, tel, oracles, ckpt, None)
+) -> Result<CampaignStats, String>
+where
+    F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
+{
+    let workers = par.workers.max(1);
+    if workers == 1 {
+        return run_campaign(factory(0).as_mut(), dialect, budget, opts, tel);
+    }
+    // wall-clock only (see run_campaign).
+    let start = Instant::now();
+    let out = Campaign::new(dialect, budget, workers, par.sync_every, opts).and_then(|c| {
+        // Static partition: lane w gets units/N, the remainder spread over
+        // the first (units % N) lanes. Deterministic for a given (units, N).
+        let slice = |w: usize| budget.units / workers + usize::from(w < budget.units % workers);
+        let children: Vec<Telemetry> = (0..workers).map(|w| tel.worker_child(w)).collect();
+        // Each slot: Ok(Ok) = survivor, Ok(Err) = fatal campaign error
+        // (checkpoint I/O, bad resume), Err(msg) = lane died by panic.
+        type Joined = Result<Result<LaneState, String>, String>;
+        let joined: Vec<Joined> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (c, factory, wtel) = (&c, &factory, &children[w]);
+                    s.spawn(move || c.run_lane(factory(w).as_mut(), w, slice(w), wtel))
+                })
+                .collect();
+            // Join in spawn order: every downstream merge sees lanes in
+            // index order regardless of which thread finished first.
+            handles
+                .into_iter()
+                .map(|h| h.join().map_err(|payload| panic_message(payload.as_ref())))
+                .collect()
+        });
+        for child in &children {
+            tel.merge_worker(child);
+        }
+        let mut lanes = Vec::with_capacity(workers);
+        let mut workers_lost = 0usize;
+        for (w, slot) in joined.into_iter().enumerate() {
+            match slot {
+                Ok(Ok(out)) => lanes.push(Some(out)),
+                // An explicit error is a campaign-configuration or I/O
+                // failure, not a crash-resilience event: surface it.
+                Ok(Err(e)) => return Err(format!("worker {w}: {e}")),
+                Err(panic_msg) => {
+                    workers_lost += 1;
+                    tel.emit(|| Event::WorkerDied { worker: w, error: panic_msg.clone() });
+                    lanes.push(None);
+                }
+            }
+        }
+        if lanes.iter().all(Option::is_none) {
+            return Err("every campaign worker died".to_string());
+        }
+        Ok(c.join(lanes, workers_lost, tel, start))
+    });
+    if out.is_err() {
+        tel.finish();
+    }
+    out
 }
 
-/// [`run_campaign_resilient`] plus an explicit WAL directory for the
-/// recovery oracle (`oracles.recovery`). With `wal_dir == None` the oracle
-/// writes under the system temp dir; the WAL path never influences findings,
-/// so the two spellings are byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_durable(
-    engine: &mut dyn FuzzEngine,
-    dialect: Dialect,
-    budget: Budget,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-    ckpt: &CheckpointCfg,
-    wal_dir: Option<&Path>,
-) -> Result<CampaignStats, String> {
-    run_campaign_full(engine, dialect, budget, tel, oracles, ckpt, wal_dir, false)
-}
-
-/// [`run_campaign_durable`] plus the grammar-rule coverage dimension. With
-/// `rule_cov`, every non-aborted case is re-parsed through the instrumented
-/// grammar ([`lego_sqlparser::parse_script_traced`]) and its rule→rule edges
-/// are merged into a second virgin map; rule novelty admits cases the branch
-/// map alone would reject and triggers [`FuzzEngine::rule_feedback`]. With
-/// `rule_cov == false` this is byte-for-byte [`run_campaign_durable`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_full(
-    engine: &mut dyn FuzzEngine,
-    dialect: Dialect,
-    budget: Budget,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-    ckpt: &CheckpointCfg,
-    wal_dir: Option<&Path>,
-    rule_cov: bool,
-) -> Result<CampaignStats, String> {
-    run_campaign_sema(engine, dialect, budget, tel, oracles, ckpt, wal_dir, rule_cov, false)
-}
-
-/// [`run_campaign_full`] plus the static sequence analyzer. With `sema`,
-/// every case is classified by the `lego-sqlsema` binder before execution:
-/// provably-invalid cases skip the engine entirely (charged only their
-/// statement count, like the cheapest possible failing run), every
-/// [`SEMA_AUDIT_EVERY`]-th rejected case executes anyway as an audit, and
-/// executed cases are compared statement-by-statement against the analyzer's
-/// verdicts — disagreements become deduplicated, ddmin-reduced
-/// [`OracleKind::Sema`] findings in [`CampaignStats::logic_bugs`]. With
-/// `sema == false` this is byte-for-byte [`run_campaign_full`].
+/// [`run_campaign`] with its options spelled out as parameters. Kept for the
+/// `perfbench/` harness; new code should call [`run_campaign`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_sema(
     engine: &mut dyn FuzzEngine,
@@ -755,430 +477,687 @@ pub fn run_campaign_sema(
     rule_cov: bool,
     sema: bool,
 ) -> Result<CampaignStats, String> {
-    let out = run_campaign_resilient_inner(
-        engine, dialect, budget, tel, oracles, ckpt, wal_dir, rule_cov, sema,
-    );
-    if out.is_err() {
-        // A dying campaign still owes the operator a closing heartbeat line
-        // and flushed sinks (the success path does this in finish_telemetry).
-        tel.finish();
-    }
-    out
+    let opts = CampaignOpts {
+        oracles,
+        ckpt: ckpt.clone(),
+        wal_dir: wal_dir.map(Path::to_path_buf),
+        rule_cov,
+        sema,
+    };
+    run_campaign(engine, dialect, budget, &opts, tel)
 }
 
+/// [`run_campaign_parallel`] with its options spelled out as parameters.
+/// Kept for the `perfbench/` harness; new code should call
+/// [`run_campaign_parallel`].
 #[allow(clippy::too_many_arguments)]
-fn run_campaign_resilient_inner(
-    engine: &mut dyn FuzzEngine,
+pub fn run_campaign_parallel_sema<F>(
+    factory: F,
     dialect: Dialect,
     budget: Budget,
+    par: ParallelOpts,
     tel: &Telemetry,
     oracles: OracleConfig,
     ckpt: &CheckpointCfg,
     wal_dir: Option<&Path>,
     rule_cov: bool,
     sema: bool,
-) -> Result<CampaignStats, String> {
-    // wall-clock only: feeds wall_ms / execs_per_sec, which
-    // deterministic_json() strips. Never consulted for exploration decisions.
-    let start = Instant::now();
-    engine.attach_telemetry(tel.clone());
-    let mut global = GlobalCoverage::new();
-    // Grammar-rule virgin map (tentpole). `None` when the dimension is off so
-    // the disabled path touches no extra state. The recorder map is recycled
-    // between cases like the DBMS coverage map: the hot loop allocates once.
-    let mut rules: Option<GlobalCoverage> =
-        if rule_cov { Some(GlobalCoverage::new()) } else { None };
-    let mut rule_recycle = CovMap::new();
-    let mut bugs: Vec<BugFinding> = Vec::new();
-    let mut seen_stacks: HashMap<u64, usize> = HashMap::new();
-    let mut oracle_rt = OracleRuntime::new(dialect, oracles, wal_dir, 0);
-    // Static analyzer (tentpole). `None` when off so the disabled path
-    // touches no extra state.
-    let mut sema_rt: Option<SemaRuntime> = sema.then(|| SemaRuntime::new(dialect));
-    let mut curve = Vec::with_capacity(budget.snapshots + 1);
-    let every = (budget.units / budget.snapshots.max(1)).max(1);
+) -> Result<CampaignStats, String>
+where
+    F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
+{
+    let opts = CampaignOpts {
+        oracles,
+        ckpt: ckpt.clone(),
+        wal_dir: wal_dir.map(Path::to_path_buf),
+        rule_cov,
+        sema,
+    };
+    run_campaign_parallel(factory, dialect, budget, par, &opts, tel)
+}
 
-    let mut units = 0usize;
-    let mut execs = 0usize;
-    let mut stmts_ok = 0usize;
-    let mut stmts_err = 0usize;
-    let mut cases_aborted = 0usize;
-    let mut next_snapshot = 0usize;
-    let mut next_ckpt = if ckpt.active() { ckpt.every_units } else { usize::MAX };
-    let mut ckpt_seq = 0usize;
+/// What every lane of one campaign shares. The lane count is the only
+/// selector between the two shapes: one lane owns the campaign's coverage
+/// map outright and never syncs; N lanes judge novelty against local shards
+/// and publish them to shared sinks.
+struct Campaign<'a> {
+    dialect: Dialect,
+    budget: Budget,
+    workers: usize,
+    /// Shard sync cadence, as recorded in the checkpoint meta (0 for one
+    /// lane, which never syncs).
+    sync_every: usize,
+    opts: &'a CampaignOpts,
+    /// Lock-free shared branch map (`None` for one lane).
+    sink: Option<CoverageSink>,
+    /// Lock-free shared rule map (N lanes with `rule_cov` only).
+    rule_sink: Option<CoverageSink>,
+    /// The checkpoint-meta write, done once by the first lane to get there.
+    /// Every lane passes through it before its loop, so the meta is on disk
+    /// before any lane can write a checkpoint file.
+    meta: OnceLock<Result<(), String>>,
+}
 
-    if let Some(resume) = &ckpt.resume {
-        if resume.meta.workers != 1 {
-            return Err(format!(
-                "checkpoint was taken with {} workers; the serial path resumes only single-worker runs",
-                resume.meta.workers
-            ));
-        }
-        if resume.meta.rule_cov != rule_cov {
-            return Err(format!(
-                "checkpoint was taken with rule_cov={}; resuming with rule_cov={} would change the exploration order",
-                resume.meta.rule_cov, rule_cov
-            ));
-        }
-        if resume.meta.sema != sema {
-            return Err(format!(
-                "checkpoint was taken with sema={}; resuming with sema={} would change both the unit accounting and the exploration order",
-                resume.meta.sema, sema
-            ));
-        }
-        let w = &resume.workers[0];
-        engine.restore(&w.engine)?;
-        global = GlobalCoverage::from_sparse(&w.coverage);
-        if let Some(rules) = rules.as_mut() {
-            *rules = GlobalCoverage::from_sparse(&w.rule_coverage);
-        }
-        seen_stacks = w.seen_stacks.iter().copied().collect();
-        bugs = rebuild_bugs(dialect, &w.bugs)?;
-        let logic = rebuild_logic_bugs(&mut oracle_rt, &w.logic_bugs)?;
-        oracle_rt.restore(&w.oracle_seen, logic, w.oracle_checks);
-        if let Some(srt) = sema_rt.as_mut() {
-            let sf = rebuild_sema_findings(dialect, &w.sema_findings)?;
-            srt.restore(w, sf);
-        }
-        curve = w.curve.clone();
-        units = w.units;
-        execs = w.execs;
-        stmts_ok = w.stmts_ok;
-        stmts_err = w.stmts_err;
-        cases_aborted = w.cases_aborted;
-        next_snapshot = w.next_snapshot;
-        next_ckpt = w.next_ckpt;
-        ckpt_seq = w.seq;
-    }
-    if let Some(dir) = &ckpt.dir {
-        checkpoint::write_meta(
-            dir,
-            &CheckpointMeta {
-                version: CHECKPOINT_VERSION,
-                fuzzer: engine.name().to_string(),
-                dialect: dialect.name().to_string(),
-                budget_units: budget.units,
-                snapshots: budget.snapshots,
-                workers: 1,
-                sync_every: 0,
-                every_units: ckpt.every_units,
-                oracles: (oracles.tlp, oracles.norec, oracles.differential, oracles.recovery),
-                rule_cov,
-                sema,
-            },
-        )
-        .map_err(|e| format!("write checkpoint meta: {e}"))?;
-    }
-
-    // One DBMS instance for the whole campaign, reset between cases; its
-    // coverage map is recycled back after feedback so the hot loop does not
-    // allocate per case.
-    let mut db = Dbms::new(dialect);
-    while units < budget.units {
-        let case = tel.time(Stage::Generation, || engine.next_case());
-        // Static pre-execution verdict (`--sema`): a provably-invalid case
-        // skips engine execution entirely, charged its statement count plus
-        // the reset fee (what the cheapest failing run would have cost).
-        // Every SEMA_AUDIT_EVERY-th rejected case executes anyway, auditing
-        // the analyzer against the real engine. Snapshot and checkpoint
-        // boundaries passed during a skip fire at the next executed case —
-        // deterministic either way, since the skip decision is.
-        let mut sema_rep: Option<SeqReport> = None;
-        if let Some(srt) = sema_rt.as_mut() {
-            let rep = tel.time(Stage::Sema, || srt.sema.check_sequence(&case.statements));
-            let rejects = rep.rejects();
-            if rejects > 0 {
-                srt.rejects += rejects;
-                srt.audit += 1;
-                let audit = srt.audit % SEMA_AUDIT_EVERY == 0;
-                tel.emit(|| Event::SemaVerdict {
-                    worker: 0,
-                    exec: execs as u64,
-                    statements: case.statements.len() as u64,
-                    rejects: rejects as u64,
-                    skipped: !audit,
-                });
-                if !audit {
-                    tel.emit(|| Event::ExecStart { worker: 0, exec: execs as u64 });
-                    units += case.statements.len() + CASE_RESET_COST;
-                    srt.skipped_stmts += case.statements.len();
-                    tel.emit(|| Event::ExecEnd {
-                        worker: 0,
-                        exec: execs as u64,
-                        statements: 0,
-                        ok: 0,
-                        err: 0,
-                        new_coverage: false,
-                    });
-                    let report = skipped_report();
-                    tel.time(Stage::Feedback, || engine.feedback(&case, &report, false));
-                    execs += 1;
-                    continue;
+impl<'a> Campaign<'a> {
+    /// Validate a resume against this campaign's shape; build the sinks.
+    fn new(
+        dialect: Dialect,
+        budget: Budget,
+        workers: usize,
+        sync_every: usize,
+        opts: &'a CampaignOpts,
+    ) -> Result<Self, String> {
+        if let Some(resume) = &opts.ckpt.resume {
+            let m = &resume.meta;
+            if m.workers != workers {
+                return Err(format!(
+                    "checkpoint was taken with {} workers, this campaign has {workers}; \
+                     resume requires the same worker count",
+                    m.workers
+                ));
+            }
+            for (flag, then, now, changes) in [
+                ("rule_cov", m.rule_cov, opts.rule_cov, "the exploration order"),
+                ("sema", m.sema, opts.sema, "both the unit accounting and the exploration order"),
+            ] {
+                if then != now {
+                    return Err(format!(
+                        "checkpoint was taken with {flag}={then}; resuming with {flag}={now} would change {changes}"
+                    ));
                 }
             }
-            sema_rep = Some(rep);
         }
-        db.reset();
-        tel.emit(|| Event::ExecStart { worker: 0, exec: execs as u64 });
-        let report = tel.time(Stage::Execution, || execute_case_isolated(&mut db, dialect, &case));
-        units += report.statements_executed + CASE_RESET_COST;
-        stmts_ok += report.stmts_ok;
-        stmts_err += report.stmts_err;
-        // A budget-tripped case never enters the corpus and its partial
-        // coverage is discarded (like AFL's timeout inputs): retaining it
-        // would reward runaway behaviour with novelty.
-        let aborted = report.aborted();
-        if let Some(reason) = aborted {
-            cases_aborted += 1;
-            tel.emit(|| Event::CaseAborted {
-                worker: 0,
-                exec: execs as u64,
-                reason: reason.name().to_string(),
-            });
+        let sink = (workers > 1).then(CoverageSink::new);
+        let rule_sink = (workers > 1 && opts.rule_cov).then(CoverageSink::new);
+        Ok(Self {
+            dialect,
+            budget,
+            workers,
+            sync_every,
+            opts,
+            sink,
+            rule_sink,
+            meta: OnceLock::new(),
+        })
+    }
+
+    fn write_meta(&self, fuzzer: &str) -> Result<(), String> {
+        let Some(dir) = &self.opts.ckpt.dir else { return Ok(()) };
+        let o = self.opts.oracles;
+        let meta = || CheckpointMeta {
+            version: CHECKPOINT_VERSION,
+            fuzzer: fuzzer.to_string(),
+            dialect: self.dialect.name().to_string(),
+            budget_units: self.budget.units,
+            snapshots: self.budget.snapshots,
+            workers: self.workers,
+            sync_every: self.sync_every,
+            every_units: self.opts.ckpt.every_units,
+            oracles: (o.tlp, o.norec, o.differential, o.recovery),
+            rule_cov: self.opts.rule_cov,
+            sema: self.opts.sema,
+        };
+        self.meta
+            .get_or_init(|| {
+                checkpoint::write_meta(dir, &meta())
+                    .map_err(|e| format!("write checkpoint meta: {e}"))
+            })
+            .clone()
+    }
+
+    /// Run one lane: `engine` spends `sub_units` of the budget, reporting as
+    /// worker `worker`.
+    ///
+    /// Novelty (`new_coverage` feedback and gain attribution) is judged
+    /// against the lane's own map only, so a lane's behaviour depends solely
+    /// on its engine seed and budget slice — never on scheduler interleaving.
+    /// With N lanes the shared sinks are write-only during the run: every
+    /// `sync_every` cases the lane publishes the virgin-map words its shard
+    /// dirtied since the last sync (atomic `fetch_or` per changed word, zero
+    /// atomics when the epoch found nothing new — no lock anywhere). Because
+    /// `fetch_or` is commutative and idempotent, the collapsed sink is
+    /// interleaving-independent.
+    fn run_lane(
+        &self,
+        engine: &mut dyn FuzzEngine,
+        worker: usize,
+        sub_units: usize,
+        tel: &Telemetry,
+    ) -> Result<LaneState, String> {
+        let dialect = self.dialect;
+        engine.attach_telemetry(tel.clone());
+        let one_lane = self.sink.is_none();
+        let snapshots = self.budget.snapshots.max(1);
+        let every = (self.budget.units / snapshots).max(1);
+        let mut st = LaneState::new(self, engine.name(), worker);
+        if let Some(resume) = &self.opts.ckpt.resume {
+            st.restore(engine, &resume.workers[worker], dialect)?;
+            if let Some(sink) = &self.sink {
+                // The sinks start empty on a resumed campaign; re-seed them
+                // with everything this shard had already synced. `from_sparse`
+                // marked all restored words dirty, so the dirty-publish covers
+                // the whole shard.
+                if let (Some(rules), Some(rs)) = (st.rules.as_mut(), &self.rule_sink) {
+                    rs.publish_dirty(rules);
+                }
+                sink.publish_dirty(&mut st.cov);
+            }
         }
-        let prev_edges = global.edges_covered();
-        let new_coverage =
-            aborted.is_none() && tel.time(Stage::CoverageUnion, || global.merge(&report.coverage));
-        if new_coverage {
-            let edges = global.edges_covered();
-            // Stash the gain so the engine's feedback can attribute it to
-            // the operator that produced this case.
-            tel.set_pending_edges((edges - prev_edges) as u64);
-            tel.live_progress(edges as u64);
-        }
-        // Rule-coverage dimension: re-parse through the instrumented grammar
-        // and test the rule→rule edges against the rule virgin map. A case is
-        // corpus-worthy if EITHER map reports novelty.
-        let mut rule_delta = 0usize;
-        if let Some(rules) = rules.as_mut() {
-            if aborted.is_none() {
-                let rec = CovRecorder::from_recycled(std::mem::take(&mut rule_recycle));
-                let (parsed, map) = tel.time(Stage::CoverageUnion, || {
-                    lego_sqlparser::parse_script_traced(&case.to_sql(), rec)
-                });
-                if parsed.is_ok() {
-                    let before = rules.edges_covered();
-                    if rules.merge(&map) {
-                        // Hit-count bucket changes can report novelty with no
-                        // new edge index; count only genuinely new edges but
-                        // keep the bucketed admit verdict.
-                        rule_delta = (rules.edges_covered() - before).max(1);
+        self.write_meta(engine.name())?;
+        let sync_every = self.sync_every.max(1);
+        // The recorder map is recycled between cases like the DBMS coverage
+        // map: the hot loop allocates once.
+        let mut rule_recycle = CovMap::new();
+
+        // One DBMS instance for the whole lane, reset between cases; its
+        // coverage map is recycled back after feedback so the hot loop does
+        // not allocate per case.
+        let mut db = Dbms::new(dialect);
+        while st.units < sub_units {
+            let case = tel.time(Stage::Generation, || engine.next_case());
+            // Static pre-execution verdict (`--sema`): a provably-invalid case
+            // skips engine execution entirely, charged its statement count
+            // plus the reset fee (what the cheapest failing run would have
+            // cost). Every SEMA_AUDIT_EVERY-th rejected case executes anyway,
+            // auditing the analyzer against the real engine. Snapshot and
+            // checkpoint boundaries passed during a skip fire at the next
+            // executed case — deterministic either way, since the skip
+            // decision is.
+            let mut sema_rep: Option<SeqReport> = None;
+            if let Some(srt) = st.sema_rt.as_mut() {
+                let rep = tel.time(Stage::Sema, || srt.sema.check_sequence(&case.statements));
+                let rejects = rep.rejects();
+                if rejects > 0 {
+                    srt.rejects += rejects;
+                    srt.audit += 1;
+                    let audit = srt.audit % SEMA_AUDIT_EVERY == 0;
+                    let exec = st.execs as u64;
+                    tel.emit(|| Event::SemaVerdict {
+                        worker,
+                        exec,
+                        statements: case.statements.len() as u64,
+                        rejects: rejects as u64,
+                        skipped: !audit,
+                    });
+                    if !audit {
+                        tel.emit(|| Event::ExecStart { worker, exec });
+                        st.units += case.statements.len() + CASE_RESET_COST;
+                        srt.skipped_stmts += case.statements.len();
+                        tel.emit(|| Event::ExecEnd {
+                            worker,
+                            exec,
+                            statements: 0,
+                            ok: 0,
+                            err: 0,
+                            new_coverage: false,
+                        });
+                        let report = skipped_report();
+                        tel.time(Stage::Feedback, || engine.feedback(&case, &report, false));
+                        st.execs += 1;
+                        continue;
                     }
                 }
-                rule_recycle = map;
+                sema_rep = Some(rep);
             }
-        }
-        let rule_new = rule_delta > 0;
-        let accepted = new_coverage || rule_new;
-        tel.emit(|| Event::ExecEnd {
-            worker: 0,
-            exec: execs as u64,
-            statements: report.statements_executed as u64,
-            ok: report.stmts_ok as u64,
-            err: report.stmts_err as u64,
-            new_coverage: accepted,
-        });
-        if let Some(crash) = report.crash() {
-            let h = crash.stack_hash();
-            if let std::collections::hash_map::Entry::Vacant(e) = seen_stacks.entry(h) {
-                e.insert(execs);
-                // Triage: minimize the reproducer right away (the reduction
-                // executions are charged to the budget, like a real
-                // campaign's triage time).
-                let (reduced_sql, spent) = triage_crash(&case, dialect, crash, tel);
-                units += spent;
-                tel.emit(|| Event::BugFound {
-                    worker: 0,
-                    exec: execs as u64,
-                    identifier: crash.identifier.clone(),
-                    stack_hash: h,
-                });
-                bugs.push(BugFinding {
-                    crash: crash.clone(),
-                    first_exec: execs,
-                    case_sql: case.to_sql(),
-                    reduced_sql,
+            let exec = st.execs;
+            db.reset();
+            tel.emit(|| Event::ExecStart { worker, exec: exec as u64 });
+            let report =
+                tel.time(Stage::Execution, || execute_case_isolated(&mut db, dialect, &case));
+            st.units += report.statements_executed + CASE_RESET_COST;
+            st.stmts_ok += report.stmts_ok;
+            st.stmts_err += report.stmts_err;
+            // A budget-tripped case never enters the corpus and its partial
+            // coverage is discarded (like AFL's timeout inputs): retaining it
+            // would reward runaway behaviour with novelty.
+            let aborted = report.aborted();
+            if let Some(reason) = aborted {
+                st.cases_aborted += 1;
+                tel.emit(|| Event::CaseAborted {
+                    worker,
+                    exec: exec as u64,
+                    reason: reason.name().to_string(),
                 });
             }
-        }
-        if accepted && report.crash().is_none() {
-            units += oracle_rt.check(&case, 0, execs, tel);
-        }
-        // Conformance oracle: every executed case (including audits of
-        // statically-rejected ones) checks the analyzer against the engine.
-        if let (Some(srt), Some(rep)) = (sema_rt.as_mut(), &sema_rep) {
-            units += srt.conformance(&case, rep, &report, dialect, 0, execs, tel);
-        }
-        tel.time(Stage::Feedback, || engine.feedback(&case, &report, accepted));
-        if rule_new {
-            // After feedback so the just-admitted case is the newest pool
-            // entry when the engine boosts it.
-            tel.time(Stage::Feedback, || engine.rule_feedback(&case, rule_delta));
-            tel.emit(|| Event::RuleCoverageGain {
-                worker: 0,
-                exec: execs as u64,
-                edges: rule_delta as u64,
-            });
-        }
-        db.recycle(report.coverage);
-        execs += 1;
-        if units >= next_snapshot {
-            curve.push((units, global.edges_covered()));
-            next_snapshot += every;
-        }
-        if units >= next_ckpt {
-            tel.time(Stage::Checkpoint, || -> Result<(), String> {
-                while units >= next_ckpt {
-                    next_ckpt += ckpt.every_units;
+            let prev_edges = st.cov.edges_covered();
+            let new_coverage = aborted.is_none()
+                && tel.time(Stage::CoverageUnion, || st.cov.merge(&report.coverage));
+            if new_coverage {
+                let edges = st.cov.edges_covered();
+                // Stash the gain so the engine's feedback can attribute it to
+                // the operator that produced this case.
+                tel.set_pending_edges((edges - prev_edges) as u64);
+                tel.live_progress(edges as u64);
+            }
+            // Rule-coverage dimension: re-parse through the instrumented
+            // grammar and test the rule→rule edges against the rule virgin
+            // map. A case is corpus-worthy if EITHER map reports novelty.
+            let mut rule_delta = 0usize;
+            if let Some(rules) = st.rules.as_mut() {
+                if aborted.is_none() {
+                    let rec = CovRecorder::from_recycled(std::mem::take(&mut rule_recycle));
+                    let (parsed, map) = tel.time(Stage::CoverageUnion, || {
+                        lego_sqlparser::parse_script_traced(&case.to_sql(), rec)
+                    });
+                    if parsed.is_ok() {
+                        let before = rules.edges_covered();
+                        if rules.merge(&map) {
+                            // Hit-count bucket changes can report novelty with
+                            // no new edge index; count only genuinely new
+                            // edges but keep the bucketed admit verdict.
+                            rule_delta = (rules.edges_covered() - before).max(1);
+                        }
+                    }
+                    rule_recycle = map;
                 }
-                ckpt_seq += 1;
-                // Reseed barrier first (state-changing even when nothing is
-                // persisted), then snapshot the post-barrier state.
-                let engine_snap = engine.checkpoint();
-                if let Some(dir) = &ckpt.dir {
-                    let engine_snap = engine_snap.ok_or_else(|| {
-                        format!("engine '{}' does not support checkpointing", engine.name())
-                    })?;
-                    let ck = WorkerCheckpoint {
-                        version: CHECKPOINT_VERSION,
-                        worker: 0,
-                        seq: ckpt_seq,
-                        units,
-                        execs,
-                        stmts_ok,
-                        stmts_err,
-                        cases_aborted,
-                        next_snapshot,
-                        next_ckpt,
-                        since_sync: 0,
-                        curve: curve.clone(),
-                        snaps: Vec::new(),
-                        coverage: checkpoint::sparse_out(&global.to_sparse()),
-                        rule_coverage: rules
-                            .as_ref()
-                            .map(|r| checkpoint::sparse_out(&r.to_sparse()))
-                            .unwrap_or_default(),
-                        seen_stacks: sorted_pairs(&seen_stacks),
-                        bugs: bugs
-                            .iter()
-                            .map(|b| FindingCk {
-                                first_exec: b.first_exec,
-                                case_sql: b.case_sql.clone(),
-                                reduced_sql: b.reduced_sql.clone(),
-                            })
-                            .collect(),
-                        logic_bugs: oracle_rt
-                            .findings
-                            .iter()
-                            .map(|b| LogicFindingCk {
-                                first_exec: b.first_exec,
-                                fingerprint: b.fingerprint(),
-                                case_sql: b.case_sql.clone(),
-                                reduced_sql: b.reduced_sql.clone(),
-                            })
-                            .collect(),
-                        oracle_seen: sorted_pairs(&oracle_rt.seen),
-                        oracle_checks: oracle_rt.checks,
-                        sema_rejects: sema_rt.as_ref().map_or(0, |s| s.rejects),
-                        sema_skipped_stmts: sema_rt.as_ref().map_or(0, |s| s.skipped_stmts),
-                        sema_audit: sema_rt.as_ref().map_or(0, |s| s.audit),
-                        sema_seen: sema_rt
-                            .as_ref()
-                            .map_or_else(Vec::new, |s| sorted_pairs(&s.seen)),
-                        sema_findings: sema_rt
-                            .as_ref()
-                            .map_or_else(Vec::new, |s| logic_findings_out(&s.findings)),
-                        engine: engine_snap,
-                    };
-                    let path = checkpoint::write_worker(dir, &ck)
-                        .map_err(|e| format!("write checkpoint: {e}"))?;
-                    tel.emit(|| Event::CheckpointWritten {
-                        worker: 0,
-                        seq: ckpt_seq as u64,
-                        units: units as u64,
-                        path: path.display().to_string(),
+            }
+            let rule_new = rule_delta > 0;
+            let accepted = new_coverage || rule_new;
+            tel.emit(|| Event::ExecEnd {
+                worker,
+                exec: exec as u64,
+                statements: report.statements_executed as u64,
+                ok: report.stmts_ok as u64,
+                err: report.stmts_err as u64,
+                new_coverage: accepted,
+            });
+            if let Some(crash) = report.crash() {
+                let h = crash.stack_hash();
+                if let std::collections::hash_map::Entry::Vacant(e) = st.seen_stacks.entry(h) {
+                    e.insert(exec);
+                    // Triage: minimize the reproducer right away (the
+                    // reduction executions are charged to the budget, like a
+                    // real campaign's triage time).
+                    let (reduced_sql, spent) = triage_crash(&case, dialect, crash, tel);
+                    st.units += spent;
+                    tel.emit(|| Event::BugFound {
+                        worker,
+                        exec: exec as u64,
+                        identifier: crash.identifier.clone(),
+                        stack_hash: h,
+                    });
+                    st.bugs.push(BugFinding {
+                        crash: crash.clone(),
+                        first_exec: exec,
+                        case_sql: case.to_sql(),
+                        reduced_sql,
                     });
                 }
-                Ok(())
-            })?;
+            }
+            if accepted && report.crash().is_none() {
+                st.units += st.oracle_rt.check(&case, worker, exec, tel);
+            }
+            // Conformance oracle: every executed case (including audits of
+            // statically-rejected ones) checks the analyzer against the
+            // engine.
+            if let (Some(srt), Some(rep)) = (st.sema_rt.as_mut(), &sema_rep) {
+                st.units += srt.conformance(&case, rep, &report, dialect, worker, exec, tel);
+            }
+            tel.time(Stage::Feedback, || engine.feedback(&case, &report, accepted));
+            if rule_new {
+                // After feedback so the just-admitted case is the newest pool
+                // entry when the engine boosts it.
+                tel.time(Stage::Feedback, || engine.rule_feedback(&case, rule_delta));
+                tel.emit(|| Event::RuleCoverageGain {
+                    worker,
+                    exec: exec as u64,
+                    edges: rule_delta as u64,
+                });
+            }
+            db.recycle(report.coverage);
+            st.execs += 1;
+            if !one_lane {
+                st.since_sync += 1;
+                if st.since_sync >= sync_every {
+                    self.sync(&mut st, tel);
+                    st.since_sync = 0;
+                }
+            }
+            if one_lane && st.units >= st.next_snapshot {
+                st.curve.push((st.units, st.cov.edges_covered()));
+                st.next_snapshot += every;
+            }
+            while !one_lane
+                && st.next_snapshot <= snapshots
+                && st.units >= sub_units * st.next_snapshot / snapshots
+            {
+                st.snaps.push((st.units, st.cov.to_sparse()));
+                st.next_snapshot += 1;
+            }
+            if st.units >= st.next_ckpt {
+                tel.time(Stage::Checkpoint, || st.checkpoint(engine, &self.opts.ckpt, tel))?;
+            }
+        }
+        if one_lane {
+            st.curve.push((st.units, st.cov.edges_covered()));
+        } else {
+            while st.next_snapshot <= snapshots {
+                st.snaps.push((st.units, st.cov.to_sparse()));
+                st.next_snapshot += 1;
+            }
+            // Final flush: after this, the sinks hold everything the shard saw.
+            self.sync(&mut st, tel);
+        }
+        st.corpus = engine.corpus();
+        Ok(st)
+    }
+
+    /// Publish the words the lane's shards dirtied since the last sync; a
+    /// novelty-free epoch performs zero atomic operations.
+    fn sync(&self, st: &mut LaneState, tel: &Telemetry) {
+        if let Some(sink) = &self.sink {
+            tel.time(Stage::CoverageUnion, || sink.publish_dirty(&mut st.cov));
+        }
+        if let (Some(rules), Some(rs)) = (st.rules.as_mut(), &self.rule_sink) {
+            tel.time(Stage::CoverageUnion, || rs.publish_dirty(rules));
+        }
+        tel.emit(|| Event::WorkerSync { worker: st.worker, execs: st.execs as u64 });
+    }
+
+    /// Merge the lanes (in worker order; `None` = a dead lane) into the
+    /// campaign's stats. A one-lane campaign is the trivial merge: its map
+    /// and curve are the campaign's, and the cross-lane dedup keeps every
+    /// finding of a lane that already deduplicated locally.
+    fn join(
+        self,
+        lanes: Vec<Option<LaneState>>,
+        workers_lost: usize,
+        tel: &Telemetry,
+        start: Instant,
+    ) -> CampaignStats {
+        let survivors = || lanes.iter().flatten();
+        let (coverage_curve, branches, rule_branches) = match self.sink {
+            None => {
+                let lane = survivors().next().expect("a one-lane campaign keeps its lane");
+                let rule_edges = lane.rules.as_ref().map_or(0, |r| r.edges_covered());
+                (lane.curve.clone(), lane.cov.edges_covered(), rule_edges)
+            }
+            Some(sink) => {
+                // Merged coverage curve: the i-th point unions every surviving
+                // lane's i-th local-shard snapshot; its x-coordinate is the
+                // units they had consumed by then.
+                let snapshots = self.budget.snapshots.max(1);
+                let mut curve = Vec::with_capacity(snapshots + 1);
+                curve.push((0, 0));
+                for i in 0..snapshots {
+                    let mut merged = GlobalCoverage::new();
+                    let mut x = 0usize;
+                    for lane in survivors() {
+                        let (u, shard) = &lane.snaps[i];
+                        x += *u;
+                        merged.union_sparse(shard);
+                    }
+                    curve.push((x, merged.edges_covered()));
+                }
+                let rule_branches = self.rule_sink.map_or(0, |rs| rs.into_global().edges_covered());
+                (curve, sink.into_global().edges_covered(), rule_branches)
+            }
+        };
+        // Merged bug lists: lanes deduplicate locally; the join
+        // re-deduplicates across lanes by stack hash (crashes) and oracle
+        // fingerprint (logic bugs), in (first_exec, worker) order so the
+        // survivor of a cross-lane duplicate is deterministic. A lane's sema
+        // divergences follow its oracle findings, so on a tie in first_exec
+        // the oracle finding comes first.
+        let bugs =
+            merge_findings(&lanes, |l| l.bugs.iter(), |b| b.first_exec, |b| b.crash.stack_hash());
+        let logic_bugs = merge_findings(
+            &lanes,
+            |l| l.oracle_rt.findings.iter().chain(l.sema_rt.iter().flat_map(|s| &s.findings)),
+            |b| b.first_exec,
+            LogicBugFinding::fingerprint,
+        );
+        let count = |k| logic_bugs.iter().filter(|f| f.bug.oracle == k).count();
+        let sema_sum = |f: fn(&SemaRuntime) -> usize| -> usize {
+            survivors().filter_map(|l| l.sema_rt.as_ref()).map(f).sum()
+        };
+        let corpus: Vec<Arc<TestCase>> =
+            survivors().flat_map(|l| l.corpus.iter().cloned()).collect();
+        let mut stats = CampaignStats {
+            fuzzer: survivors().next().map_or("unknown", |l| l.fuzzer).to_string(),
+            dialect: self.dialect,
+            execs: survivors().map(|l| l.execs).sum(),
+            units: survivors().map(|l| l.units).sum(),
+            coverage_curve,
+            branches,
+            rule_branches,
+            corpus_affinities: corpus_affinities(&corpus).len(),
+            corpus_size: corpus.len(),
+            stmts_ok: survivors().map(|l| l.stmts_ok).sum(),
+            stmts_err: survivors().map(|l| l.stmts_err).sum(),
+            cases_aborted: survivors().map(|l| l.cases_aborted).sum(),
+            workers_lost,
+            bugs,
+            durability_bugs: count(OracleKind::Recovery),
+            sema_rejects: sema_sum(|s| s.rejects),
+            sema_skipped_stmts: sema_sum(|s| s.skipped_stmts),
+            sema_divergences: count(OracleKind::Sema),
+            logic_bugs,
+            oracle_checks: survivors().map(|l| l.oracle_rt.checks).sum(),
+            wall_ms: 0,
+            execs_per_sec: 0.0,
+            workers: 1,
+            stage_profile: tel.stage_profile(),
+        };
+        stats.stamp_timing(start, self.workers);
+        finish_telemetry(tel, &stats);
+        stats
+    }
+}
+
+/// Cross-lane dedup of one finding list: every surviving lane's findings in
+/// `(first_exec, worker)` order (stable within a lane), keeping the first of
+/// each `key`.
+fn merge_findings<'l, T: Clone + 'l, I: Iterator<Item = &'l T>>(
+    lanes: &'l [Option<LaneState>],
+    list: impl Fn(&'l LaneState) -> I,
+    first_exec: impl Fn(&T) -> usize,
+    key: impl Fn(&T) -> u64,
+) -> Vec<T> {
+    let mut tagged: Vec<(usize, &T)> = lanes
+        .iter()
+        .enumerate()
+        .filter_map(|(w, l)| l.as_ref().map(|l| (w, l)))
+        .flat_map(|(w, l)| list(l).map(move |b| (w, b)))
+        .collect();
+    tagged.sort_by_key(|&(w, b)| (first_exec(b), w));
+    let mut seen = HashSet::new();
+    tagged.into_iter().filter(|&(_, b)| seen.insert(key(b))).map(|(_, b)| b.clone()).collect()
+}
+
+/// One lane's state: everything a checkpoint records, and what the join
+/// merges.
+struct LaneState {
+    worker: usize,
+    fuzzer: &'static str,
+    /// The lane's branch map: the campaign's map for one lane, a local shard
+    /// for N lanes.
+    cov: GlobalCoverage,
+    /// Grammar-rule map; `None` when `rule_cov` is off so the disabled path
+    /// touches no extra state.
+    rules: Option<GlobalCoverage>,
+    seen_stacks: HashMap<u64, usize>,
+    bugs: Vec<BugFinding>,
+    oracle_rt: OracleRuntime,
+    /// Static analyzer; `None` when `sema` is off.
+    sema_rt: Option<SemaRuntime>,
+    /// Coverage over time, sampled by one of two samplers selected by the
+    /// lane count. One lane samples its map (the campaign's map) into
+    /// `curve` every `units/snapshots` units, starting at the first case,
+    /// plus a final point. Each of N lanes takes exactly `snapshots` shard
+    /// snapshots into `snaps` at `sub_units·i/snapshots`, padded at the end
+    /// so the join can union the lanes' i-th snapshots pairwise; they are
+    /// stored sparse, since a shard covers a few thousand of the 64 Ki edges.
+    curve: Vec<(usize, usize)>,
+    snaps: Vec<(usize, Vec<(usize, u8)>)>,
+    /// The next sample's unit threshold (one lane) or 1-based snapshot index
+    /// (N lanes).
+    next_snapshot: usize,
+    units: usize,
+    execs: usize,
+    stmts_ok: usize,
+    stmts_err: usize,
+    cases_aborted: usize,
+    since_sync: usize,
+    next_ckpt: usize,
+    ckpt_seq: usize,
+    /// The engine's retained corpus, taken when the lane ends.
+    corpus: Vec<Arc<TestCase>>,
+}
+
+impl LaneState {
+    fn new(c: &Campaign, fuzzer: &'static str, worker: usize) -> Self {
+        let (dialect, opts) = (c.dialect, c.opts);
+        let one_lane = c.sink.is_none();
+        let snapshots = c.budget.snapshots;
+        Self {
+            worker,
+            fuzzer,
+            cov: GlobalCoverage::new(),
+            rules: opts.rule_cov.then(GlobalCoverage::new),
+            seen_stacks: HashMap::new(),
+            bugs: Vec::new(),
+            oracle_rt: OracleRuntime::new(dialect, opts.oracles, opts.wal_dir.as_deref(), worker),
+            sema_rt: opts.sema.then(|| SemaRuntime::new(dialect)),
+            curve: if one_lane { Vec::with_capacity(snapshots + 1) } else { Vec::new() },
+            snaps: if one_lane { Vec::new() } else { Vec::with_capacity(snapshots.max(1)) },
+            next_snapshot: usize::from(!one_lane),
+            units: 0,
+            execs: 0,
+            stmts_ok: 0,
+            stmts_err: 0,
+            cases_aborted: 0,
+            since_sync: 0,
+            next_ckpt: if opts.ckpt.active() { opts.ckpt.every_units } else { usize::MAX },
+            ckpt_seq: 0,
+            corpus: Vec::new(),
         }
     }
-    curve.push((units, global.edges_covered()));
 
-    let corpus = engine.corpus();
-    // Sema divergences join the logic-bug list, merged by discovery order
-    // (stable on ties, oracle findings first). A sema-off run never enters
-    // the branch, keeping its finding order byte-identical.
-    let mut logic_bugs = oracle_rt.findings;
-    let (sema_rejects, sema_skipped_stmts) = match sema_rt {
-        Some(srt) => {
-            logic_bugs.extend(srt.findings);
-            logic_bugs.sort_by_key(|b| b.first_exec);
-            (srt.rejects, srt.skipped_stmts)
+    /// Apply a checkpointed lane: engine state, maps, counters, and findings
+    /// re-derived by replaying their reproducers.
+    fn restore(
+        &mut self,
+        engine: &mut dyn FuzzEngine,
+        w: &WorkerResume,
+        dialect: Dialect,
+    ) -> Result<(), String> {
+        engine.restore(&w.engine)?;
+        self.cov = GlobalCoverage::from_sparse(&w.coverage);
+        if let Some(rules) = self.rules.as_mut() {
+            *rules = GlobalCoverage::from_sparse(&w.rule_coverage);
         }
-        None => (0, 0),
-    };
-    let durability_bugs = count_durability(&logic_bugs);
-    let sema_divergences = count_sema(&logic_bugs);
-    let mut stats = CampaignStats {
-        fuzzer: engine.name().to_string(),
-        dialect,
-        execs,
-        units,
-        coverage_curve: curve,
-        branches: global.edges_covered(),
-        rule_branches: rules.as_ref().map_or(0, |r| r.edges_covered()),
-        corpus_affinities: corpus_affinities(&corpus).len(),
-        corpus_size: corpus.len(),
-        stmts_ok,
-        stmts_err,
-        cases_aborted,
-        workers_lost: 0,
-        bugs,
-        logic_bugs,
-        oracle_checks: oracle_rt.checks,
-        durability_bugs,
-        sema_rejects,
-        sema_skipped_stmts,
-        sema_divergences,
-        wall_ms: 0,
-        execs_per_sec: 0.0,
-        workers: 1,
-        stage_profile: tel.stage_profile(),
-    };
-    stats.stamp_timing(start, 1);
-    finish_telemetry(tel, &stats);
-    Ok(stats)
-}
+        self.seen_stacks = w.seen_stacks.iter().copied().collect();
+        self.bugs = rebuild_bugs(dialect, &w.bugs)?;
+        // Replay costs are bookkeeping, not campaign work: the checkpointed
+        // check count overwrites whatever the re-derivation cost.
+        let suite = &mut self.oracle_rt.suite;
+        self.oracle_rt.findings = rebuild_logic_bugs(&w.logic_bugs, |case| {
+            let suite = suite
+                .as_mut()
+                .ok_or("checkpoint has logic-bug findings but oracles are disabled")?;
+            Ok(suite.check_case(case).bugs)
+        })?;
+        self.oracle_rt.seen = w.oracle_seen.iter().copied().collect();
+        self.oracle_rt.checks = w.oracle_checks;
+        if let Some(srt) = self.sema_rt.as_mut() {
+            srt.findings = rebuild_logic_bugs(&w.sema_findings, |case| {
+                let div = replay_divergence(dialect, case);
+                Ok(div
+                    .map(|(idx, acc, why)| sema_bug(dialect, case, idx, acc, &why))
+                    .into_iter()
+                    .collect())
+            })?;
+            srt.seen = w.sema_seen.iter().copied().collect();
+            (srt.audit, srt.rejects, srt.skipped_stmts) =
+                (w.sema_audit, w.sema_rejects, w.sema_skipped_stmts);
+        }
+        self.curve = w.curve.clone();
+        self.snaps = w.snaps.clone();
+        self.next_snapshot = w.next_snapshot;
+        self.units = w.units;
+        self.execs = w.execs;
+        self.stmts_ok = w.stmts_ok;
+        self.stmts_err = w.stmts_err;
+        self.cases_aborted = w.cases_aborted;
+        self.since_sync = w.since_sync;
+        self.next_ckpt = w.next_ckpt;
+        self.ckpt_seq = w.seq;
+        Ok(())
+    }
 
-/// How many findings are recovery-oracle durability bugs.
-fn count_durability(findings: &[LogicBugFinding]) -> usize {
-    findings.iter().filter(|f| f.bug.oracle == OracleKind::Recovery).count()
-}
-
-/// How many findings are analyzer-vs-engine conformance divergences.
-fn count_sema(findings: &[LogicBugFinding]) -> usize {
-    findings.iter().filter(|f| f.bug.oracle == OracleKind::Sema).count()
-}
-
-/// Findings in their checkpoint form (reproducers + fingerprint).
-fn logic_findings_out(findings: &[LogicBugFinding]) -> Vec<LogicFindingCk> {
-    findings
-        .iter()
-        .map(|b| LogicFindingCk {
-            first_exec: b.first_exec,
-            fingerprint: b.fingerprint(),
-            case_sql: b.case_sql.clone(),
-            reduced_sql: b.reduced_sql.clone(),
-        })
-        .collect()
-}
-
-/// Hash-map dedup state as a deterministically ordered pair list.
-fn sorted_pairs(m: &HashMap<u64, usize>) -> Vec<(u64, usize)> {
-    let mut v: Vec<(u64, usize)> = m.iter().map(|(&k, &e)| (k, e)).collect();
-    v.sort_unstable();
-    v
+    /// A checkpoint boundary: advance the cadence, perform the engine's
+    /// reseed barrier (state-changing even when nothing is persisted), then
+    /// persist the post-barrier lane state if the campaign has a directory.
+    fn checkpoint(
+        &mut self,
+        engine: &mut dyn FuzzEngine,
+        ckpt: &CheckpointCfg,
+        tel: &Telemetry,
+    ) -> Result<(), String> {
+        while self.units >= self.next_ckpt {
+            self.next_ckpt += ckpt.every_units;
+        }
+        self.ckpt_seq += 1;
+        let engine_snap = engine.checkpoint();
+        let Some(dir) = &ckpt.dir else { return Ok(()) };
+        let engine_snap = engine_snap
+            .ok_or_else(|| format!("engine '{}' does not support checkpointing", engine.name()))?;
+        let sema = self.sema_rt.as_ref();
+        let record = WorkerCheckpoint {
+            version: CHECKPOINT_VERSION,
+            worker: self.worker,
+            seq: self.ckpt_seq,
+            units: self.units,
+            execs: self.execs,
+            stmts_ok: self.stmts_ok,
+            stmts_err: self.stmts_err,
+            cases_aborted: self.cases_aborted,
+            next_snapshot: self.next_snapshot,
+            next_ckpt: self.next_ckpt,
+            since_sync: self.since_sync,
+            curve: self.curve.clone(),
+            snaps: self
+                .snaps
+                .iter()
+                .map(|(u, cov)| SnapCk { units: *u, coverage: checkpoint::sparse_out(cov) })
+                .collect(),
+            coverage: checkpoint::sparse_out(&self.cov.to_sparse()),
+            rule_coverage: self
+                .rules
+                .as_ref()
+                .map(|r| checkpoint::sparse_out(&r.to_sparse()))
+                .unwrap_or_default(),
+            seen_stacks: sorted_pairs(&self.seen_stacks),
+            bugs: self
+                .bugs
+                .iter()
+                .map(|b| FindingCk {
+                    first_exec: b.first_exec,
+                    case_sql: b.case_sql.clone(),
+                    reduced_sql: b.reduced_sql.clone(),
+                })
+                .collect(),
+            logic_bugs: logic_findings_out(&self.oracle_rt.findings),
+            oracle_seen: sorted_pairs(&self.oracle_rt.seen),
+            oracle_checks: self.oracle_rt.checks,
+            sema_rejects: sema.map_or(0, |s| s.rejects),
+            sema_skipped_stmts: sema.map_or(0, |s| s.skipped_stmts),
+            sema_audit: sema.map_or(0, |s| s.audit),
+            sema_seen: sema.map_or_else(Vec::new, |s| sorted_pairs(&s.seen)),
+            sema_findings: sema.map_or_else(Vec::new, |s| logic_findings_out(&s.findings)),
+            engine: engine_snap,
+        };
+        let path =
+            checkpoint::write_worker(dir, &record).map_err(|e| format!("write checkpoint: {e}"))?;
+        tel.emit(|| Event::CheckpointWritten {
+            worker: self.worker,
+            seq: self.ckpt_seq as u64,
+            units: self.units as u64,
+            path: path.display().to_string(),
+        });
+        Ok(())
+    }
 }
 
 /// End-of-campaign telemetry: dump replayable bug artifacts, publish the
@@ -1239,808 +1218,6 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// What one worker brings back to the join point.
-struct WorkerOut {
-    fuzzer: String,
-    execs: usize,
-    units: usize,
-    stmts_ok: usize,
-    stmts_err: usize,
-    cases_aborted: usize,
-    /// Local-shard snapshots, one per curve point (`budget.snapshots` of
-    /// them), each paired with the units the worker had consumed when it was
-    /// taken. Stored sparse — a typical shard covers a few thousand of the
-    /// 64 Ki edges, so dumping `(index, bucket)` pairs beats cloning the
-    /// whole map per point.
-    snaps: Vec<(usize, Vec<(usize, u8)>)>,
-    bugs: Vec<BugFinding>,
-    logic_bugs: Vec<LogicBugFinding>,
-    oracle_checks: usize,
-    sema_rejects: usize,
-    sema_skipped_stmts: usize,
-    corpus: Vec<Arc<TestCase>>,
-}
-
-/// One worker's slice of a parallel campaign: its index, budget share, and
-/// the sync cadence it inherits from [`ParallelOpts`].
-struct Shard {
-    worker: usize,
-    sub_units: usize,
-    snapshots: usize,
-    sync_every: usize,
-}
-
-/// Run one engine shard for a slice of the budget.
-///
-/// Coverage novelty (`new_coverage` feedback) is judged against the worker's
-/// *local* shard only, so a worker's behaviour depends solely on its own
-/// engine seed and budget slice — never on scheduler interleaving. The
-/// shared [`CoverageSink`] is write-only during the run: every `sync_every`
-/// cases the worker publishes the virgin-map words its shard dirtied since
-/// the last sync (atomic `fetch_or` per changed word, zero atomics when the
-/// epoch found nothing new — no lock anywhere). Because `fetch_or` is
-/// commutative and idempotent, the collapsed sink is interleaving-
-/// independent, exactly like the old mutex-guarded batch union.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    mut engine: Box<dyn FuzzEngine + Send>,
-    shard_cfg: Shard,
-    dialect: Dialect,
-    sink: &CoverageSink,
-    rule_sink: Option<&CoverageSink>,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-    ckpt: &CheckpointCfg,
-    wal_dir: Option<&Path>,
-    resume: Option<&WorkerResume>,
-    sema: bool,
-) -> Result<WorkerOut, String> {
-    let Shard { worker, sub_units, snapshots, sync_every } = shard_cfg;
-    engine.attach_telemetry(tel.clone());
-    let mut shard = GlobalCoverage::new();
-    // Rule-coverage shard, judged locally like the branch shard so worker
-    // behaviour never depends on scheduler interleaving; published to the
-    // shared rule sink at the same sync cadence.
-    let mut rules: Option<GlobalCoverage> =
-        if rule_sink.is_some() { Some(GlobalCoverage::new()) } else { None };
-    let mut rule_recycle = CovMap::new();
-    let mut bugs: Vec<BugFinding> = Vec::new();
-    let mut seen_stacks: HashMap<u64, usize> = HashMap::new();
-    let mut oracle_rt = OracleRuntime::new(dialect, oracles, wal_dir, worker);
-    let mut sema_rt: Option<SemaRuntime> = sema.then(|| SemaRuntime::new(dialect));
-    let mut snaps: Vec<(usize, Vec<(usize, u8)>)> = Vec::with_capacity(snapshots);
-    let threshold = |i: usize| sub_units * i / snapshots.max(1);
-
-    let mut units = 0usize;
-    let mut execs = 0usize;
-    let mut stmts_ok = 0usize;
-    let mut stmts_err = 0usize;
-    let mut cases_aborted = 0usize;
-    let mut next_snap = 1usize;
-    let mut since_sync = 0usize;
-    let mut next_ckpt = if ckpt.active() { ckpt.every_units } else { usize::MAX };
-    let mut ckpt_seq = 0usize;
-
-    if let Some(w) = resume {
-        engine.restore(&w.engine)?;
-        shard = GlobalCoverage::from_sparse(&w.coverage);
-        if let Some(rules) = rules.as_mut() {
-            *rules = GlobalCoverage::from_sparse(&w.rule_coverage);
-            if let Some(rs) = rule_sink {
-                rs.publish_dirty(rules);
-            }
-        }
-        seen_stacks = w.seen_stacks.iter().copied().collect();
-        bugs = rebuild_bugs(dialect, &w.bugs)?;
-        let logic = rebuild_logic_bugs(&mut oracle_rt, &w.logic_bugs)?;
-        oracle_rt.restore(&w.oracle_seen, logic, w.oracle_checks);
-        if let Some(srt) = sema_rt.as_mut() {
-            let sf = rebuild_sema_findings(dialect, &w.sema_findings)?;
-            srt.restore(w, sf);
-        }
-        snaps = w.snaps.clone();
-        units = w.units;
-        execs = w.execs;
-        stmts_ok = w.stmts_ok;
-        stmts_err = w.stmts_err;
-        cases_aborted = w.cases_aborted;
-        next_snap = w.next_snapshot;
-        since_sync = w.since_sync;
-        next_ckpt = w.next_ckpt;
-        ckpt_seq = w.seq;
-        // The sink starts empty on a resumed campaign; re-seed it with
-        // everything this shard had already synced. `from_sparse` marked all
-        // restored words dirty, so the dirty-publish covers the whole shard.
-        sink.publish_dirty(&mut shard);
-    }
-
-    let mut db = Dbms::new(dialect);
-    while units < sub_units {
-        let case = tel.time(Stage::Generation, || engine.next_case());
-        // Static pre-execution verdict — same skip/audit protocol as the
-        // serial loop, judged against worker-local analyzer state only, so
-        // worker behaviour stays independent of scheduler interleaving.
-        let mut sema_rep: Option<SeqReport> = None;
-        if let Some(srt) = sema_rt.as_mut() {
-            let rep = tel.time(Stage::Sema, || srt.sema.check_sequence(&case.statements));
-            let rejects = rep.rejects();
-            if rejects > 0 {
-                srt.rejects += rejects;
-                srt.audit += 1;
-                let audit = srt.audit % SEMA_AUDIT_EVERY == 0;
-                tel.emit(|| Event::SemaVerdict {
-                    worker,
-                    exec: execs as u64,
-                    statements: case.statements.len() as u64,
-                    rejects: rejects as u64,
-                    skipped: !audit,
-                });
-                if !audit {
-                    tel.emit(|| Event::ExecStart { worker, exec: execs as u64 });
-                    units += case.statements.len() + CASE_RESET_COST;
-                    srt.skipped_stmts += case.statements.len();
-                    tel.emit(|| Event::ExecEnd {
-                        worker,
-                        exec: execs as u64,
-                        statements: 0,
-                        ok: 0,
-                        err: 0,
-                        new_coverage: false,
-                    });
-                    let report = skipped_report();
-                    tel.time(Stage::Feedback, || engine.feedback(&case, &report, false));
-                    execs += 1;
-                    continue;
-                }
-            }
-            sema_rep = Some(rep);
-        }
-        db.reset();
-        tel.emit(|| Event::ExecStart { worker, exec: execs as u64 });
-        let report = tel.time(Stage::Execution, || execute_case_isolated(&mut db, dialect, &case));
-        units += report.statements_executed + CASE_RESET_COST;
-        stmts_ok += report.stmts_ok;
-        stmts_err += report.stmts_err;
-        let aborted = report.aborted();
-        if let Some(reason) = aborted {
-            cases_aborted += 1;
-            tel.emit(|| Event::CaseAborted {
-                worker,
-                exec: execs as u64,
-                reason: reason.name().to_string(),
-            });
-        }
-        // Novelty (and gain attribution) is judged against the local shard
-        // only, so the event stream of a worker depends solely on its own
-        // seed and budget slice — never on scheduler interleaving. Aborted
-        // cases contribute no coverage (see the serial loop).
-        let prev_edges = shard.edges_covered();
-        let new_coverage =
-            aborted.is_none() && tel.time(Stage::CoverageUnion, || shard.merge(&report.coverage));
-        if new_coverage {
-            let edges = shard.edges_covered();
-            tel.set_pending_edges((edges - prev_edges) as u64);
-            tel.live_progress(edges as u64);
-        }
-        // Rule-coverage novelty, judged against the local rule shard only
-        // (see the serial loop for the admit semantics).
-        let mut rule_delta = 0usize;
-        if let Some(rules) = rules.as_mut() {
-            if aborted.is_none() {
-                let rec = CovRecorder::from_recycled(std::mem::take(&mut rule_recycle));
-                let (parsed, map) = tel.time(Stage::CoverageUnion, || {
-                    lego_sqlparser::parse_script_traced(&case.to_sql(), rec)
-                });
-                if parsed.is_ok() {
-                    let before = rules.edges_covered();
-                    if rules.merge(&map) {
-                        rule_delta = (rules.edges_covered() - before).max(1);
-                    }
-                }
-                rule_recycle = map;
-            }
-        }
-        let rule_new = rule_delta > 0;
-        let accepted = new_coverage || rule_new;
-        tel.emit(|| Event::ExecEnd {
-            worker,
-            exec: execs as u64,
-            statements: report.statements_executed as u64,
-            ok: report.stmts_ok as u64,
-            err: report.stmts_err as u64,
-            new_coverage: accepted,
-        });
-        if let Some(crash) = report.crash() {
-            let h = crash.stack_hash();
-            if let std::collections::hash_map::Entry::Vacant(e) = seen_stacks.entry(h) {
-                e.insert(execs);
-                let (reduced_sql, spent) = triage_crash(&case, dialect, crash, tel);
-                units += spent;
-                tel.emit(|| Event::BugFound {
-                    worker,
-                    exec: execs as u64,
-                    identifier: crash.identifier.clone(),
-                    stack_hash: h,
-                });
-                bugs.push(BugFinding {
-                    crash: crash.clone(),
-                    first_exec: execs,
-                    case_sql: case.to_sql(),
-                    reduced_sql,
-                });
-            }
-        }
-        if accepted && report.crash().is_none() {
-            units += oracle_rt.check(&case, worker, execs, tel);
-        }
-        if let (Some(srt), Some(rep)) = (sema_rt.as_mut(), &sema_rep) {
-            units += srt.conformance(&case, rep, &report, dialect, worker, execs, tel);
-        }
-        tel.time(Stage::Feedback, || engine.feedback(&case, &report, accepted));
-        if rule_new {
-            tel.time(Stage::Feedback, || engine.rule_feedback(&case, rule_delta));
-            tel.emit(|| Event::RuleCoverageGain {
-                worker,
-                exec: execs as u64,
-                edges: rule_delta as u64,
-            });
-        }
-        db.recycle(report.coverage);
-        execs += 1;
-        since_sync += 1;
-        if since_sync >= sync_every.max(1) {
-            // Publishes only the words dirtied since the last sync; a
-            // novelty-free epoch performs zero atomic operations.
-            tel.time(Stage::CoverageUnion, || sink.publish_dirty(&mut shard));
-            if let (Some(rules), Some(rs)) = (rules.as_mut(), rule_sink) {
-                tel.time(Stage::CoverageUnion, || rs.publish_dirty(rules));
-            }
-            tel.emit(|| Event::WorkerSync { worker, execs: execs as u64 });
-            since_sync = 0;
-        }
-        while next_snap <= snapshots && units >= threshold(next_snap) {
-            snaps.push((units, shard.to_sparse()));
-            next_snap += 1;
-        }
-        if units >= next_ckpt {
-            tel.time(Stage::Checkpoint, || -> Result<(), String> {
-                while units >= next_ckpt {
-                    next_ckpt += ckpt.every_units;
-                }
-                ckpt_seq += 1;
-                let engine_snap = engine.checkpoint();
-                if let Some(dir) = &ckpt.dir {
-                    let engine_snap = engine_snap.ok_or_else(|| {
-                        format!("engine '{}' does not support checkpointing", engine.name())
-                    })?;
-                    let ck = WorkerCheckpoint {
-                        version: CHECKPOINT_VERSION,
-                        worker,
-                        seq: ckpt_seq,
-                        units,
-                        execs,
-                        stmts_ok,
-                        stmts_err,
-                        cases_aborted,
-                        next_snapshot: next_snap,
-                        next_ckpt,
-                        since_sync,
-                        curve: Vec::new(),
-                        snaps: snaps
-                            .iter()
-                            .map(|(u, cov)| SnapCk {
-                                units: *u,
-                                coverage: checkpoint::sparse_out(cov),
-                            })
-                            .collect(),
-                        coverage: checkpoint::sparse_out(&shard.to_sparse()),
-                        rule_coverage: rules
-                            .as_ref()
-                            .map(|r| checkpoint::sparse_out(&r.to_sparse()))
-                            .unwrap_or_default(),
-                        seen_stacks: sorted_pairs(&seen_stacks),
-                        bugs: bugs
-                            .iter()
-                            .map(|b| FindingCk {
-                                first_exec: b.first_exec,
-                                case_sql: b.case_sql.clone(),
-                                reduced_sql: b.reduced_sql.clone(),
-                            })
-                            .collect(),
-                        logic_bugs: oracle_rt
-                            .findings
-                            .iter()
-                            .map(|b| LogicFindingCk {
-                                first_exec: b.first_exec,
-                                fingerprint: b.fingerprint(),
-                                case_sql: b.case_sql.clone(),
-                                reduced_sql: b.reduced_sql.clone(),
-                            })
-                            .collect(),
-                        oracle_seen: sorted_pairs(&oracle_rt.seen),
-                        oracle_checks: oracle_rt.checks,
-                        sema_rejects: sema_rt.as_ref().map_or(0, |s| s.rejects),
-                        sema_skipped_stmts: sema_rt.as_ref().map_or(0, |s| s.skipped_stmts),
-                        sema_audit: sema_rt.as_ref().map_or(0, |s| s.audit),
-                        sema_seen: sema_rt
-                            .as_ref()
-                            .map_or_else(Vec::new, |s| sorted_pairs(&s.seen)),
-                        sema_findings: sema_rt
-                            .as_ref()
-                            .map_or_else(Vec::new, |s| logic_findings_out(&s.findings)),
-                        engine: engine_snap,
-                    };
-                    let path = checkpoint::write_worker(dir, &ck)
-                        .map_err(|e| format!("write checkpoint: {e}"))?;
-                    tel.emit(|| Event::CheckpointWritten {
-                        worker,
-                        seq: ckpt_seq as u64,
-                        units: units as u64,
-                        path: path.display().to_string(),
-                    });
-                }
-                Ok(())
-            })?;
-        }
-    }
-    // Pad to exactly `snapshots` points so the join can union the workers'
-    // i-th snapshots pairwise.
-    while next_snap <= snapshots {
-        snaps.push((units, shard.to_sparse()));
-        next_snap += 1;
-    }
-    // Final flush: after this, the sinks hold everything the shards saw.
-    tel.time(Stage::CoverageUnion, || sink.publish_dirty(&mut shard));
-    if let (Some(rules), Some(rs)) = (rules.as_mut(), rule_sink) {
-        tel.time(Stage::CoverageUnion, || rs.publish_dirty(rules));
-    }
-    tel.emit(|| Event::WorkerSync { worker, execs: execs as u64 });
-
-    // Sema conformance findings ride the same logic-bug channel as the
-    // oracle findings (stable-sorted by discovery order, like the serial
-    // join), so the parallel merge dedups them by fingerprint for free.
-    let mut logic_bugs = oracle_rt.findings;
-    let (sema_rejects, sema_skipped_stmts) = match sema_rt {
-        Some(srt) => {
-            logic_bugs.extend(srt.findings);
-            logic_bugs.sort_by_key(|b| b.first_exec);
-            (srt.rejects, srt.skipped_stmts)
-        }
-        None => (0, 0),
-    };
-
-    Ok(WorkerOut {
-        fuzzer: engine.name().to_string(),
-        execs,
-        units,
-        stmts_ok,
-        stmts_err,
-        cases_aborted,
-        snaps,
-        bugs,
-        logic_bugs,
-        oracle_checks: oracle_rt.checks,
-        sema_rejects,
-        sema_skipped_stmts,
-        corpus: engine.corpus(),
-    })
-}
-
-/// Run one campaign across `opts.workers` threads.
-///
-/// The budget is statically partitioned into per-worker slices; each worker
-/// owns an engine shard (built by `factory(worker_index)`, which should give
-/// every shard a distinct RNG seed), a reusable DBMS instance and a local
-/// coverage shard. Workers batch-union their shards into a shared global map
-/// every `opts.sync_every` cases and the join deterministically merges
-/// curves, bugs and corpora, so the result depends only on the factory seeds
-/// and the worker count — not on thread scheduling. With `workers <= 1` this
-/// is exactly [`run_campaign`].
-pub fn run_campaign_parallel<F>(
-    factory: F,
-    dialect: Dialect,
-    budget: Budget,
-    opts: ParallelOpts,
-) -> CampaignStats
-where
-    F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
-{
-    run_campaign_parallel_observed(factory, dialect, budget, opts, &Telemetry::disabled())
-}
-
-/// [`run_campaign_parallel`] with telemetry. Each worker gets a
-/// [`Telemetry::worker_child`] that buffers its events privately (live
-/// counters are shared so the heartbeat sees all workers in real time); the
-/// join replays the buffers into the parent's sinks in worker-index order,
-/// so the merged event stream is deterministic for a fixed seed set and
-/// worker count.
-pub fn run_campaign_parallel_observed<F>(
-    factory: F,
-    dialect: Dialect,
-    budget: Budget,
-    opts: ParallelOpts,
-    tel: &Telemetry,
-) -> CampaignStats
-where
-    F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
-{
-    run_campaign_parallel_with_oracles(
-        factory,
-        dialect,
-        budget,
-        opts,
-        tel,
-        OracleConfig::disabled(),
-    )
-}
-
-/// [`run_campaign_parallel_observed`] plus correctness oracles. Every worker
-/// owns a private [`OracleSuite`] and deduplicates locally; the join merges
-/// logic bugs across workers by fingerprint in `(first_exec, worker)` order,
-/// exactly like crash dedup, so the merged report is a deterministic
-/// function of (factory seeds, worker count, oracle config).
-pub fn run_campaign_parallel_with_oracles<F>(
-    factory: F,
-    dialect: Dialect,
-    budget: Budget,
-    opts: ParallelOpts,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-) -> CampaignStats
-where
-    F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
-{
-    run_campaign_parallel_resilient(
-        factory,
-        dialect,
-        budget,
-        opts,
-        tel,
-        oracles,
-        &CheckpointCfg::disabled(),
-    )
-    .expect("campaign with checkpointing disabled cannot fail")
-}
-
-/// [`run_campaign_parallel_with_oracles`] plus fault tolerance and
-/// checkpoint/resume — the parallel counterpart of
-/// [`run_campaign_resilient`].
-///
-/// A worker that panics *outside* the per-case isolation boundary no longer
-/// brings the whole campaign down: the join records a
-/// [`Event::WorkerDied`], counts it in [`CampaignStats::workers_lost`], and
-/// merges the surviving workers' results (the shared coverage sink keeps
-/// whatever the dead worker had synced before dying). Each worker
-/// checkpoints independently at its own unit boundaries; resume picks the
-/// newest sequence number complete across *all* workers and requires the
-/// same worker count the checkpoint was taken with.
-pub fn run_campaign_parallel_resilient<F>(
-    factory: F,
-    dialect: Dialect,
-    budget: Budget,
-    opts: ParallelOpts,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-    ckpt: &CheckpointCfg,
-) -> Result<CampaignStats, String>
-where
-    F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
-{
-    run_campaign_parallel_durable(factory, dialect, budget, opts, tel, oracles, ckpt, None)
-}
-
-/// [`run_campaign_parallel_resilient`] plus an explicit WAL directory for
-/// the recovery oracle — the parallel counterpart of
-/// [`run_campaign_durable`]. Each worker journals to its own
-/// `worker{NN}.wal` file under `wal_dir` and derives crash points from case
-/// content only, so serial and N-worker recovery campaigns remain
-/// byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_parallel_durable<F>(
-    factory: F,
-    dialect: Dialect,
-    budget: Budget,
-    opts: ParallelOpts,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-    ckpt: &CheckpointCfg,
-    wal_dir: Option<&Path>,
-) -> Result<CampaignStats, String>
-where
-    F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
-{
-    run_campaign_parallel_full(factory, dialect, budget, opts, tel, oracles, ckpt, wal_dir, false)
-}
-
-/// [`run_campaign_parallel_durable`] plus the grammar-rule coverage
-/// dimension — the parallel counterpart of [`run_campaign_full`]. Rule
-/// novelty is judged against each worker's local rule shard and merged
-/// through a second lock-free [`CoverageSink`], so serial and N-worker
-/// rule-coverage campaigns with the same seeds stay deterministic.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_parallel_full<F>(
-    factory: F,
-    dialect: Dialect,
-    budget: Budget,
-    opts: ParallelOpts,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-    ckpt: &CheckpointCfg,
-    wal_dir: Option<&Path>,
-    rule_cov: bool,
-) -> Result<CampaignStats, String>
-where
-    F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
-{
-    run_campaign_parallel_sema(
-        factory, dialect, budget, opts, tel, oracles, ckpt, wal_dir, rule_cov, false,
-    )
-}
-
-/// [`run_campaign_parallel_full`] plus the static sequence analyzer — the
-/// parallel counterpart of [`run_campaign_sema`]. Each worker owns a
-/// private [`Sema`] instance, so verdicts, skips and conformance findings
-/// are judged against worker-local state only and the campaign stays
-/// deterministic for a fixed seed set and worker count. With `sema = false`
-/// this is byte-identical to [`run_campaign_parallel_full`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_parallel_sema<F>(
-    factory: F,
-    dialect: Dialect,
-    budget: Budget,
-    opts: ParallelOpts,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-    ckpt: &CheckpointCfg,
-    wal_dir: Option<&Path>,
-    rule_cov: bool,
-    sema: bool,
-) -> Result<CampaignStats, String>
-where
-    F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
-{
-    let out = run_campaign_parallel_resilient_inner(
-        factory, dialect, budget, opts, tel, oracles, ckpt, wal_dir, rule_cov, sema,
-    );
-    if out.is_err() {
-        // Worker-death and checkpoint-I/O exits still flush the heartbeat
-        // and sinks, like the success path's finish_telemetry.
-        tel.finish();
-    }
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_campaign_parallel_resilient_inner<F>(
-    factory: F,
-    dialect: Dialect,
-    budget: Budget,
-    opts: ParallelOpts,
-    tel: &Telemetry,
-    oracles: OracleConfig,
-    ckpt: &CheckpointCfg,
-    wal_dir: Option<&Path>,
-    rule_cov: bool,
-    sema: bool,
-) -> Result<CampaignStats, String>
-where
-    F: Fn(usize) -> Box<dyn FuzzEngine + Send> + Sync,
-{
-    let workers = opts.workers.max(1);
-    if workers == 1 {
-        let mut engine = factory(0);
-        return run_campaign_resilient_inner(
-            engine.as_mut(),
-            dialect,
-            budget,
-            tel,
-            oracles,
-            ckpt,
-            wal_dir,
-            rule_cov,
-            sema,
-        );
-    }
-
-    // wall-clock only: feeds wall_ms / execs_per_sec, which
-    // deterministic_json() strips. Never consulted for exploration decisions.
-    let start = Instant::now();
-    let snapshots = budget.snapshots.max(1);
-    // Static partition: worker w gets units/N, the remainder spread over the
-    // first (units % N) workers. Deterministic for a given (units, N).
-    let slice = |w: usize| budget.units / workers + usize::from(w < budget.units % workers);
-
-    if let Some(resume) = &ckpt.resume {
-        if resume.meta.workers != workers {
-            return Err(format!(
-                "checkpoint was taken with {} workers, this campaign has {workers}; \
-                 resume requires the same worker count",
-                resume.meta.workers
-            ));
-        }
-        if resume.meta.rule_cov != rule_cov {
-            return Err(format!(
-                "checkpoint was taken with rule_cov={}; resuming with rule_cov={} would change the exploration order",
-                resume.meta.rule_cov, rule_cov
-            ));
-        }
-        if resume.meta.sema != sema {
-            return Err(format!(
-                "checkpoint was taken with sema={}; resuming with sema={} would change both the unit accounting and the exploration order",
-                resume.meta.sema, sema
-            ));
-        }
-    }
-    if let Some(dir) = &ckpt.dir {
-        checkpoint::write_meta(
-            dir,
-            &CheckpointMeta {
-                version: CHECKPOINT_VERSION,
-                fuzzer: factory(0).name().to_string(),
-                dialect: dialect.name().to_string(),
-                budget_units: budget.units,
-                snapshots: budget.snapshots,
-                workers,
-                sync_every: opts.sync_every,
-                every_units: ckpt.every_units,
-                oracles: (oracles.tlp, oracles.norec, oracles.differential, oracles.recovery),
-                rule_cov,
-                sema,
-            },
-        )
-        .map_err(|e| format!("write checkpoint meta: {e}"))?;
-    }
-
-    let children: Vec<Telemetry> = (0..workers).map(|w| tel.worker_child(w)).collect();
-    let sink = CoverageSink::new();
-    let rule_sink: Option<CoverageSink> = if rule_cov { Some(CoverageSink::new()) } else { None };
-    // Each slot: Ok(Ok) = survivor, Ok(Err) = fatal campaign error
-    // (checkpoint I/O, bad resume), Err(msg) = worker died by panic.
-    type Joined = Result<Result<WorkerOut, String>, String>;
-    let joined: Vec<Joined> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let sink = &sink;
-                let rule_sink = rule_sink.as_ref();
-                let factory = &factory;
-                let wtel = &children[w];
-                let resume_w = ckpt.resume.as_ref().map(|r| &r.workers[w]);
-                s.spawn(move || {
-                    let shard = Shard {
-                        worker: w,
-                        sub_units: slice(w),
-                        snapshots,
-                        sync_every: opts.sync_every,
-                    };
-                    run_worker(
-                        factory(w),
-                        shard,
-                        dialect,
-                        sink,
-                        rule_sink,
-                        wtel,
-                        oracles,
-                        ckpt,
-                        wal_dir,
-                        resume_w,
-                        sema,
-                    )
-                })
-            })
-            .collect();
-        // Join in spawn order: every downstream merge sees workers in index
-        // order regardless of which thread finished first.
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|payload| panic_message(payload.as_ref())))
-            .collect()
-    });
-    let global = sink.into_global();
-    let rule_branches = rule_sink.map_or(0, |rs| rs.into_global().edges_covered());
-    // Replay buffered worker events into the parent sinks, in worker order.
-    for child in &children {
-        tel.merge_worker(child);
-    }
-    let mut outs: Vec<Option<WorkerOut>> = Vec::with_capacity(workers);
-    let mut workers_lost = 0usize;
-    for (w, slot) in joined.into_iter().enumerate() {
-        match slot {
-            Ok(Ok(out)) => outs.push(Some(out)),
-            // An explicit error is a campaign-configuration or I/O failure,
-            // not a crash-resilience event: surface it.
-            Ok(Err(e)) => return Err(format!("worker {w}: {e}")),
-            Err(panic_msg) => {
-                workers_lost += 1;
-                tel.emit(|| Event::WorkerDied { worker: w, error: panic_msg.clone() });
-                outs.push(None);
-            }
-        }
-    }
-    if outs.iter().all(Option::is_none) {
-        return Err("every campaign worker died".to_string());
-    }
-
-    // Merged coverage curve: the i-th point unions every surviving worker's
-    // i-th local-shard snapshot; its x-coordinate is the units they had
-    // consumed by then.
-    let mut curve = Vec::with_capacity(snapshots + 1);
-    curve.push((0, 0));
-    for i in 0..snapshots {
-        let mut merged = GlobalCoverage::new();
-        let mut x = 0usize;
-        for out in outs.iter().flatten() {
-            let (u, shard) = &out.snaps[i];
-            x += *u;
-            merged.union_sparse(shard);
-        }
-        curve.push((x, merged.edges_covered()));
-    }
-
-    // Merged bug list: workers deduplicate locally; the join re-deduplicates
-    // across workers by stack hash, in (first_exec, worker) order so the
-    // survivor of a cross-worker duplicate is deterministic.
-    let mut tagged: Vec<(usize, BugFinding)> = outs
-        .iter()
-        .enumerate()
-        .filter_map(|(w, out)| out.as_ref().map(|o| (w, o)))
-        .flat_map(|(w, out)| out.bugs.iter().cloned().map(move |b| (w, b)))
-        .collect();
-    tagged.sort_by_key(|&(w, ref b)| (b.first_exec, w));
-    let mut seen = HashSet::new();
-    let bugs: Vec<BugFinding> = tagged
-        .into_iter()
-        .filter(|(_, b)| seen.insert(b.crash.stack_hash()))
-        .map(|(_, b)| b)
-        .collect();
-
-    // Merged logic-bug list: same scheme, keyed by oracle fingerprint.
-    let mut tagged_logic: Vec<(usize, LogicBugFinding)> = outs
-        .iter()
-        .enumerate()
-        .filter_map(|(w, out)| out.as_ref().map(|o| (w, o)))
-        .flat_map(|(w, out)| out.logic_bugs.iter().cloned().map(move |b| (w, b)))
-        .collect();
-    tagged_logic.sort_by_key(|&(w, ref b)| (b.first_exec, w));
-    let mut seen_fps = HashSet::new();
-    let logic_bugs: Vec<LogicBugFinding> = tagged_logic
-        .into_iter()
-        .filter(|(_, b)| seen_fps.insert(b.fingerprint()))
-        .map(|(_, b)| b)
-        .collect();
-
-    let survivors = || outs.iter().flatten();
-    let corpus: Vec<Arc<TestCase>> = survivors().flat_map(|o| o.corpus.iter().cloned()).collect();
-    let mut stats = CampaignStats {
-        fuzzer: survivors().next().map(|o| o.fuzzer.clone()).unwrap_or_else(|| "unknown".into()),
-        dialect,
-        execs: survivors().map(|o| o.execs).sum(),
-        units: survivors().map(|o| o.units).sum(),
-        coverage_curve: curve,
-        branches: global.edges_covered(),
-        rule_branches,
-        corpus_affinities: corpus_affinities(&corpus).len(),
-        corpus_size: corpus.len(),
-        stmts_ok: survivors().map(|o| o.stmts_ok).sum(),
-        stmts_err: survivors().map(|o| o.stmts_err).sum(),
-        cases_aborted: survivors().map(|o| o.cases_aborted).sum(),
-        workers_lost,
-        bugs,
-        durability_bugs: count_durability(&logic_bugs),
-        sema_rejects: survivors().map(|o| o.sema_rejects).sum(),
-        sema_skipped_stmts: survivors().map(|o| o.sema_skipped_stmts).sum(),
-        sema_divergences: count_sema(&logic_bugs),
-        logic_bugs,
-        oracle_checks: survivors().map(|o| o.oracle_checks).sum(),
-        wall_ms: 0,
-        execs_per_sec: 0.0,
-        workers: 1,
-        stage_profile: tel.stage_profile(),
-    };
-    stats.stamp_timing(start, workers);
-    finish_telemetry(tel, &stats);
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2049,7 +1226,14 @@ mod tests {
     #[test]
     fn campaign_runs_and_gains_coverage() {
         let mut fz = LegoFuzzer::new(Dialect::Postgres, Config::default());
-        let stats = run_campaign(&mut fz, Dialect::Postgres, Budget::execs(300));
+        let stats = run_campaign(
+            &mut fz,
+            Dialect::Postgres,
+            Budget::execs(300),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         assert!(stats.execs > 50);
         assert!(stats.branches > 50, "branches = {}", stats.branches);
         assert!(stats.corpus_size > 1);
@@ -2069,9 +1253,23 @@ mod tests {
         for seed in [0x1e60u64, 7] {
             let cfg = Config { rng_seed: seed, ..Config::default() };
             let mut lego = LegoFuzzer::new(Dialect::MariaDb, cfg.clone());
-            let s1 = run_campaign(&mut lego, Dialect::MariaDb, budget);
+            let s1 = run_campaign(
+                &mut lego,
+                Dialect::MariaDb,
+                budget,
+                &CampaignOpts::default(),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             let mut minus = LegoFuzzer::lego_minus(Dialect::MariaDb, cfg);
-            let s2 = run_campaign(&mut minus, Dialect::MariaDb, budget);
+            let s2 = run_campaign(
+                &mut minus,
+                Dialect::MariaDb,
+                budget,
+                &CampaignOpts::default(),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             br += s1.branches;
             br_minus += s2.branches;
             aff += s1.corpus_affinities;
@@ -2088,7 +1286,14 @@ mod tests {
     #[test]
     fn bugs_are_deduplicated() {
         let mut fz = LegoFuzzer::new(Dialect::MariaDb, Config::default());
-        let stats = run_campaign(&mut fz, Dialect::MariaDb, Budget::execs(4_000));
+        let stats = run_campaign(
+            &mut fz,
+            Dialect::MariaDb,
+            Budget::execs(4_000),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let mut ids: Vec<u32> = stats.bugs.iter().map(|b| b.crash.bug_id).collect();
         ids.sort_unstable();
         let n = ids.len();
@@ -2099,7 +1304,14 @@ mod tests {
     #[test]
     fn stats_serialize_to_json() {
         let mut fz = LegoFuzzer::new(Dialect::Comdb2, Config::default());
-        let stats = run_campaign(&mut fz, Dialect::Comdb2, Budget::execs(100));
+        let stats = run_campaign(
+            &mut fz,
+            Dialect::Comdb2,
+            Budget::execs(100),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let json = serde_json::to_string(&stats).unwrap();
         assert!(json.contains("\"fuzzer\":\"LEGO\""));
     }

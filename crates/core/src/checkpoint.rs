@@ -101,7 +101,8 @@ pub struct CheckpointMeta {
     pub sema: bool,
 }
 
-/// One worker's (or the serial loop's) complete persisted state.
+/// One campaign lane's complete persisted state (worker 0 for a one-lane
+/// campaign).
 #[derive(Clone, Debug, Serialize)]
 pub struct WorkerCheckpoint {
     pub version: u64,
@@ -113,16 +114,16 @@ pub struct WorkerCheckpoint {
     pub stmts_ok: usize,
     pub stmts_err: usize,
     pub cases_aborted: usize,
-    /// Serial loop: the next curve-snapshot unit threshold. Worker loop: the
-    /// next snapshot *index*.
+    /// One lane: the next curve-snapshot unit threshold. N lanes: the next
+    /// snapshot *index*.
     pub next_snapshot: usize,
     /// Next checkpoint unit threshold (already advanced past `units`).
     pub next_ckpt: usize,
-    /// Cases since the last shard sync (worker loop; 0 for serial).
+    /// Cases since the last shard sync (N lanes; 0 for one lane).
     pub since_sync: usize,
-    /// Coverage curve so far (serial loop; empty for workers).
+    /// Coverage curve so far (one lane; empty for N lanes).
     pub curve: Vec<(usize, usize)>,
-    /// Local-shard snapshots so far (worker loop; empty for serial).
+    /// Local-shard snapshots so far (N lanes; empty for one lane).
     pub snaps: Vec<SnapCk>,
     /// Sparse dump of the coverage accumulator.
     pub coverage: Vec<(usize, u64)>,

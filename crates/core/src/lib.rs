@@ -22,7 +22,10 @@
 //! use lego::prelude::*;
 //!
 //! let mut fuzzer = LegoFuzzer::new(Dialect::Postgres, Config::default());
-//! let stats = run_campaign(&mut fuzzer, Dialect::Postgres, Budget::execs(200));
+//! let opts = CampaignOpts::default();
+//! let stats =
+//!     run_campaign(&mut fuzzer, Dialect::Postgres, Budget::execs(200), &opts, &Telemetry::disabled())
+//!         .unwrap();
 //! assert!(stats.branches > 0);
 //! ```
 
@@ -43,12 +46,8 @@ pub mod synthesis;
 
 pub use affinity::AffinityMap;
 pub use campaign::{
-    run_campaign, run_campaign_durable, run_campaign_full, run_campaign_observed,
-    run_campaign_parallel, run_campaign_parallel_durable, run_campaign_parallel_full,
-    run_campaign_parallel_observed, run_campaign_parallel_resilient, run_campaign_parallel_sema,
-    run_campaign_parallel_with_oracles, run_campaign_resilient, run_campaign_sema,
-    run_campaign_with_oracles, Budget, CampaignStats, FuzzEngine, LogicBugFinding, ParallelOpts,
-    SEMA_AUDIT_EVERY,
+    run_campaign, run_campaign_parallel, Budget, CampaignOpts, CampaignStats, FuzzEngine,
+    LogicBugFinding, ParallelOpts, SEMA_AUDIT_EVERY,
 };
 pub use checkpoint::{load_campaign_checkpoint, CheckpointCfg};
 pub use fuzzer::{Config, LegoFuzzer};
@@ -61,7 +60,11 @@ pub use synthesis::SequenceStore;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::affinity::AffinityMap;
-    pub use crate::campaign::{run_campaign, Budget, CampaignStats, FuzzEngine};
+    pub use crate::campaign::{
+        run_campaign, run_campaign_parallel, Budget, CampaignOpts, CampaignStats, FuzzEngine,
+        ParallelOpts,
+    };
     pub use crate::fuzzer::{Config, LegoFuzzer};
+    pub use lego_observe::Telemetry;
     pub use lego_sqlast::{Dialect, StmtKind, TestCase};
 }

@@ -7,17 +7,15 @@
 //! still flushes its sinks.
 
 use lego::campaign::{
-    run_campaign, run_campaign_observed, run_campaign_parallel_resilient, Budget, CampaignStats,
-    FuzzEngine, ParallelOpts,
+    run_campaign, run_campaign_parallel, Budget, CampaignOpts, CampaignStats, FuzzEngine,
+    ParallelOpts,
 };
-use lego::checkpoint::CheckpointCfg;
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::http::MonitorConfig;
 use lego::observe::{
     BroadcastSink, Event, EventSink, MetricsRegistry, MonitorServer, Telemetry, TimeSeriesRecorder,
     TraceCollector,
 };
-use lego::OracleConfig;
 use lego_dbms::ExecReport;
 use lego_sqlast::{Dialect, TestCase};
 use std::io::{Read, Write};
@@ -45,7 +43,7 @@ fn get(addr: std::net::SocketAddr, path: &str) -> String {
 fn serial_stats(seed: u64, budget: Budget, tel: &Telemetry) -> CampaignStats {
     let cfg = Config { rng_seed: seed, ..Config::default() };
     let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg);
-    run_campaign_observed(&mut engine, Dialect::Postgres, budget, tel)
+    run_campaign(&mut engine, Dialect::Postgres, budget, &CampaignOpts::default(), tel).unwrap()
 }
 
 #[test]
@@ -105,7 +103,14 @@ fn full_monitoring_plane_does_not_perturb_the_campaign() {
     // Bare run: no telemetry at all.
     let cfg = Config { rng_seed: 0xabcd, ..Config::default() };
     let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg);
-    let off = run_campaign(&mut engine, Dialect::Postgres, budget);
+    let off = run_campaign(
+        &mut engine,
+        Dialect::Postgres,
+        budget,
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
 
     // Fully instrumented run: server + SSE client + recorder + trace.
     let broadcast = Arc::new(BroadcastSink::new());
@@ -209,14 +214,13 @@ impl FuzzEngine for InstantDeath {
 fn dead_campaign_still_flushes_telemetry() {
     let probe = Arc::new(FlushProbe::default());
     let tel = Telemetry::builder().sink(probe.clone()).heartbeat(2).build();
-    let result = run_campaign_parallel_resilient(
+    let result = run_campaign_parallel(
         |_w| Box::new(InstantDeath) as Box<dyn FuzzEngine + Send>,
         Dialect::Postgres,
         Budget::units(5_000),
         ParallelOpts { workers: 2, sync_every: 4 },
+        &CampaignOpts::default(),
         &tel,
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
     );
     assert!(result.is_err(), "all workers dead must surface an error");
     assert!(

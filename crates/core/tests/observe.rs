@@ -7,8 +7,8 @@
 //! deterministic function of (seed, worker count).
 
 use lego::campaign::{
-    run_campaign, run_campaign_observed, run_campaign_parallel_observed, Budget, CampaignStats,
-    FuzzEngine, ParallelOpts,
+    run_campaign, run_campaign_parallel, Budget, CampaignOpts, CampaignStats, FuzzEngine,
+    ParallelOpts,
 };
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::{Event, MemorySink, MetricsRegistry, Telemetry};
@@ -42,7 +42,7 @@ fn observed() -> (Telemetry, Arc<MemorySink>, Arc<MetricsRegistry>) {
 fn serial_stats(dialect: Dialect, seed: u64, budget: Budget, tel: &Telemetry) -> CampaignStats {
     let cfg = Config { rng_seed: seed, ..Config::default() };
     let mut engine = LegoFuzzer::new(dialect, cfg);
-    run_campaign_observed(&mut engine, dialect, budget, tel)
+    run_campaign(&mut engine, dialect, budget, &CampaignOpts::default(), tel).unwrap()
 }
 
 #[test]
@@ -51,7 +51,14 @@ fn telemetry_does_not_perturb_serial_campaigns() {
     for dialect in [Dialect::Postgres, Dialect::MariaDb] {
         let cfg = Config { rng_seed: 0x5eed, ..Config::default() };
         let mut engine = LegoFuzzer::new(dialect, cfg);
-        let off = run_campaign(&mut engine, dialect, budget);
+        let off = run_campaign(
+            &mut engine,
+            dialect,
+            budget,
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         let (tel, mem, _) = observed();
         let on = serial_stats(dialect, 0x5eed, budget, &tel);
         assert_eq!(
@@ -70,21 +77,25 @@ fn telemetry_does_not_perturb_serial_campaigns() {
 #[test]
 fn telemetry_does_not_perturb_parallel_campaigns() {
     let budget = Budget::units(30_000);
-    let off = run_campaign_parallel_observed(
+    let off = run_campaign_parallel(
         lego_factory(Dialect::Postgres, 42),
         Dialect::Postgres,
         budget,
         opts(3),
+        &CampaignOpts::default(),
         &Telemetry::disabled(),
-    );
+    )
+    .unwrap();
     let (tel, mem, _) = observed();
-    let on = run_campaign_parallel_observed(
+    let on = run_campaign_parallel(
         lego_factory(Dialect::Postgres, 42),
         Dialect::Postgres,
         budget,
         opts(3),
+        &CampaignOpts::default(),
         &tel,
-    );
+    )
+    .unwrap();
     assert_eq!(
         off.deterministic_json(),
         on.deterministic_json(),
@@ -101,13 +112,15 @@ fn event_stream_is_deterministic_per_worker_count() {
     for workers in [1usize, 3] {
         let run = || {
             let (tel, mem, _) = observed();
-            let stats = run_campaign_parallel_observed(
+            let stats = run_campaign_parallel(
                 lego_factory(Dialect::Postgres, 7),
                 Dialect::Postgres,
                 Budget::units(20_000),
                 opts(workers),
+                &CampaignOpts::default(),
                 &tel,
-            );
+            )
+            .unwrap();
             let lines: Vec<String> = mem.snapshot().iter().map(Event::to_json).collect();
             (stats, lines)
         };
@@ -122,13 +135,15 @@ fn event_stream_is_deterministic_per_worker_count() {
 #[test]
 fn event_stream_is_consistent_with_stats() {
     let (tel, mem, metrics) = observed();
-    let stats = run_campaign_parallel_observed(
+    let stats = run_campaign_parallel(
         lego_factory(Dialect::MariaDb, 1),
         Dialect::MariaDb,
         Budget::units(40_000),
         opts(3),
+        &CampaignOpts::default(),
         &tel,
-    );
+    )
+    .unwrap();
     let events = mem.snapshot();
     let ends: Vec<&Event> = events.iter().filter(|e| matches!(e, Event::ExecEnd { .. })).collect();
     assert_eq!(ends.len(), stats.execs, "one ExecEnd per executed case");
@@ -204,7 +219,14 @@ fn bug_artifacts_are_replayable_sql() {
     let tel = Telemetry::builder().bug_artifacts(dir.clone()).seed(1).build();
     let cfg = Config { rng_seed: 1, ..Config::default() };
     let mut engine = LegoFuzzer::new(Dialect::MariaDb, cfg);
-    let stats = run_campaign_observed(&mut engine, Dialect::MariaDb, Budget::units(40_000), &tel);
+    let stats = run_campaign(
+        &mut engine,
+        Dialect::MariaDb,
+        Budget::units(40_000),
+        &CampaignOpts::default(),
+        &tel,
+    )
+    .unwrap();
     assert!(!stats.bugs.is_empty(), "campaign found no bugs to dump");
     let files: Vec<PathBuf> = std::fs::read_dir(dir.join("mariadb"))
         .expect("artifact dir exists")

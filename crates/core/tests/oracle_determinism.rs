@@ -4,10 +4,8 @@
 //! fault), so these tests coexist with the default multithreaded runner.
 
 use lego::campaign::{
-    run_campaign_durable, run_campaign_parallel_durable, run_campaign_parallel_with_oracles,
-    run_campaign_with_oracles, Budget, FuzzEngine, ParallelOpts,
+    run_campaign, run_campaign_parallel, Budget, CampaignOpts, FuzzEngine, ParallelOpts,
 };
-use lego::checkpoint::CheckpointCfg;
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::OracleConfig;
 use lego_observe::Telemetry;
@@ -36,13 +34,14 @@ fn serial_oracle_campaign_is_deterministic() {
     let run = || {
         let cfg = Config { rng_seed: 0x0dac1e, ..Config::default() };
         let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg);
-        run_campaign_with_oracles(
+        run_campaign(
             &mut engine,
             Dialect::Postgres,
             BUDGET,
+            &CampaignOpts { oracles: OracleConfig::all(), ..CampaignOpts::default() },
             &Telemetry::disabled(),
-            OracleConfig::all(),
         )
+        .unwrap()
     };
     let a = run();
     let b = run();
@@ -54,35 +53,38 @@ fn serial_oracle_campaign_is_deterministic() {
 fn workers1_oracle_campaign_matches_serial() {
     let cfg = Config { rng_seed: 0x5eed, ..Config::default() };
     let mut engine = LegoFuzzer::new(Dialect::MySql, cfg);
-    let serial = run_campaign_with_oracles(
+    let serial = run_campaign(
         &mut engine,
         Dialect::MySql,
         BUDGET,
+        &CampaignOpts { oracles: OracleConfig::all(), ..CampaignOpts::default() },
         &Telemetry::disabled(),
-        OracleConfig::all(),
-    );
-    let parallel = run_campaign_parallel_with_oracles(
+    )
+    .unwrap();
+    let parallel = run_campaign_parallel(
         lego_factory(Dialect::MySql, 0x5eed),
         Dialect::MySql,
         BUDGET,
         opts(1),
+        &CampaignOpts { oracles: OracleConfig::all(), ..CampaignOpts::default() },
         &Telemetry::disabled(),
-        OracleConfig::all(),
-    );
+    )
+    .unwrap();
     assert_eq!(serial.deterministic_json(), parallel.deterministic_json());
 }
 
 #[test]
 fn three_worker_oracle_campaign_is_byte_for_byte_reproducible() {
     let run = || {
-        run_campaign_parallel_with_oracles(
+        run_campaign_parallel(
             lego_factory(Dialect::Postgres, 42),
             Dialect::Postgres,
             BUDGET,
             opts(3),
+            &CampaignOpts { oracles: OracleConfig::all(), ..CampaignOpts::default() },
             &Telemetry::disabled(),
-            OracleConfig::all(),
         )
+        .unwrap()
     };
     let a = run();
     let b = run();
@@ -109,14 +111,16 @@ fn serial_recovery_campaign_is_deterministic() {
     let run = || {
         let cfg = Config { rng_seed: 0x0dac1e, ..Config::default() };
         let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg);
-        run_campaign_durable(
+        run_campaign(
             &mut engine,
             Dialect::Postgres,
             BUDGET,
+            &CampaignOpts {
+                oracles: all_plus_recovery(),
+                wal_dir: Some(dir.clone()),
+                ..CampaignOpts::default()
+            },
             &Telemetry::disabled(),
-            all_plus_recovery(),
-            &CheckpointCfg::disabled(),
-            Some(&dir),
         )
         .expect("campaign completes")
     };
@@ -133,25 +137,29 @@ fn workers1_recovery_campaign_matches_serial() {
     let dir = wal_dir("w1");
     let cfg = Config { rng_seed: 0x5eed, ..Config::default() };
     let mut engine = LegoFuzzer::new(Dialect::MySql, cfg);
-    let serial = run_campaign_durable(
+    let serial = run_campaign(
         &mut engine,
         Dialect::MySql,
         BUDGET,
+        &CampaignOpts {
+            oracles: all_plus_recovery(),
+            wal_dir: Some(dir.clone()),
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        all_plus_recovery(),
-        &CheckpointCfg::disabled(),
-        Some(&dir),
     )
     .expect("serial campaign completes");
-    let parallel = run_campaign_parallel_durable(
+    let parallel = run_campaign_parallel(
         lego_factory(Dialect::MySql, 0x5eed),
         Dialect::MySql,
         BUDGET,
         opts(1),
+        &CampaignOpts {
+            oracles: all_plus_recovery(),
+            wal_dir: Some(dir.clone()),
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        all_plus_recovery(),
-        &CheckpointCfg::disabled(),
-        Some(&dir),
     )
     .expect("parallel campaign completes");
     assert_eq!(serial.deterministic_json(), parallel.deterministic_json());
@@ -162,15 +170,17 @@ fn workers1_recovery_campaign_matches_serial() {
 fn three_worker_recovery_campaign_is_byte_for_byte_reproducible() {
     let dir = wal_dir("w3");
     let run = || {
-        run_campaign_parallel_durable(
+        run_campaign_parallel(
             lego_factory(Dialect::Postgres, 42),
             Dialect::Postgres,
             BUDGET,
             opts(3),
+            &CampaignOpts {
+                oracles: all_plus_recovery(),
+                wal_dir: Some(dir.clone()),
+                ..CampaignOpts::default()
+            },
             &Telemetry::disabled(),
-            all_plus_recovery(),
-            &CheckpointCfg::disabled(),
-            Some(&dir),
         )
         .expect("campaign completes")
     };
@@ -193,14 +203,16 @@ fn wal_location_never_influences_findings() {
     let run = |d: Option<&PathBuf>| {
         let cfg = Config { rng_seed: 0xd15c, ..Config::default() };
         let mut engine = LegoFuzzer::new(Dialect::Comdb2, cfg);
-        run_campaign_durable(
+        run_campaign(
             &mut engine,
             Dialect::Comdb2,
             BUDGET,
+            &CampaignOpts {
+                oracles: OracleConfig::recovery_only(),
+                wal_dir: d.cloned(),
+                ..CampaignOpts::default()
+            },
             &Telemetry::disabled(),
-            OracleConfig::recovery_only(),
-            &CheckpointCfg::disabled(),
-            d.map(|p| p.as_path()),
         )
         .expect("campaign completes")
     };
@@ -218,13 +230,21 @@ fn oracles_disabled_is_byte_identical_to_the_plain_campaign() {
         let cfg = Config { rng_seed: 7, ..Config::default() };
         LegoFuzzer::new(Dialect::Comdb2, cfg)
     };
-    let plain = lego::run_campaign(&mut mk(), Dialect::Comdb2, BUDGET);
-    let disabled = run_campaign_with_oracles(
+    let plain = lego::run_campaign(
         &mut mk(),
         Dialect::Comdb2,
         BUDGET,
+        &CampaignOpts::default(),
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-    );
+    )
+    .unwrap();
+    let disabled = run_campaign(
+        &mut mk(),
+        Dialect::Comdb2,
+        BUDGET,
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
     assert_eq!(plain.deterministic_json(), disabled.deterministic_json());
 }

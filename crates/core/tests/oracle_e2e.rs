@@ -13,7 +13,7 @@
 //! The fault flag is process-global, so every campaign-with-fault test
 //! lives in this binary and serializes on one lock.
 
-use lego::campaign::{run_campaign_with_oracles, Budget, FuzzEngine};
+use lego::campaign::{run_campaign, Budget, CampaignOpts, FuzzEngine};
 use lego::oracle::OracleKind;
 use lego::OracleConfig;
 use lego_dbms::faults::FaultGuard;
@@ -77,13 +77,14 @@ fn injected_logic_bug_is_found_deduped_and_reduced() {
     let _guard = FaultGuard::enable_where_drops_last_row();
     let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
     let oracles = OracleConfig { tlp: false, norec: true, differential: false, recovery: false };
-    let stats = run_campaign_with_oracles(
+    let stats = run_campaign(
         &mut engine,
         Dialect::Postgres,
         Budget::units(400),
+        &CampaignOpts { oracles, ..CampaignOpts::default() },
         &Telemetry::disabled(),
-        oracles,
-    );
+    )
+    .unwrap();
 
     // Both variants were corpus-accepted and oracle-checked.
     assert!(stats.oracle_checks >= 2, "oracle_checks = {}", stats.oracle_checks);
@@ -112,13 +113,14 @@ fn oracle_campaign_with_fault_is_deterministic() {
     let _guard = FaultGuard::enable_where_drops_last_row();
     let run = || {
         let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
-        run_campaign_with_oracles(
+        run_campaign(
             &mut engine,
             Dialect::Postgres,
             Budget::units(400),
+            &CampaignOpts { oracles: OracleConfig::all(), ..CampaignOpts::default() },
             &Telemetry::disabled(),
-            OracleConfig::all(),
         )
+        .unwrap()
     };
     assert_eq!(run().deterministic_json(), run().deterministic_json());
 }
@@ -129,13 +131,14 @@ fn clean_engine_reports_no_logic_bugs() {
     // No fault: the same campaign must stay silent (oracle soundness on the
     // defect-free engine).
     let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
-    let stats = run_campaign_with_oracles(
+    let stats = run_campaign(
         &mut engine,
         Dialect::Postgres,
         Budget::units(400),
+        &CampaignOpts { oracles: OracleConfig::all(), ..CampaignOpts::default() },
         &Telemetry::disabled(),
-        OracleConfig::all(),
-    );
+    )
+    .unwrap();
     assert!(stats.logic_bugs.is_empty(), "{:#?}", stats.logic_bugs);
     assert!(stats.oracle_checks > 0);
 }

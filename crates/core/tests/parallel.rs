@@ -5,10 +5,14 @@
 //! single-worker path is *exactly* the serial campaign.
 
 use lego::campaign::{
-    run_campaign, run_campaign_parallel, Budget, CampaignStats, FuzzEngine, ParallelOpts,
+    run_campaign, run_campaign_parallel, Budget, CampaignOpts, CampaignStats, FuzzEngine,
+    ParallelOpts,
 };
+use lego::checkpoint::CheckpointCfg;
 use lego::fuzzer::{Config, LegoFuzzer};
+use lego::observe::Telemetry;
 use lego_sqlast::Dialect;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const ALL_DIALECTS: [Dialect; 4] =
     [Dialect::Postgres, Dialect::MySql, Dialect::MariaDb, Dialect::Comdb2];
@@ -44,9 +48,23 @@ fn workers1_parallel_is_byte_identical_to_serial() {
     for dialect in ALL_DIALECTS {
         let cfg = Config { rng_seed: 0x5eed, ..Config::default() };
         let mut engine = LegoFuzzer::new(dialect, cfg);
-        let serial = run_campaign(&mut engine, dialect, budget);
-        let parallel =
-            run_campaign_parallel(lego_factory(dialect, 0x5eed), dialect, budget, opts(1));
+        let serial = run_campaign(
+            &mut engine,
+            dialect,
+            budget,
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
+        let parallel = run_campaign_parallel(
+            lego_factory(dialect, 0x5eed),
+            dialect,
+            budget,
+            opts(1),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         assert_eq!(
             serial.deterministic_json(),
             parallel.deterministic_json(),
@@ -64,7 +82,10 @@ fn same_seed_and_worker_count_is_deterministic() {
             Dialect::Postgres,
             budget,
             opts(3),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
         )
+        .unwrap()
     };
     let a = run();
     let b = run();
@@ -80,13 +101,19 @@ fn merged_coverage_is_sound() {
         Dialect::Postgres,
         budget,
         opts(1),
-    );
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
     let four = run_campaign_parallel(
         lego_factory(Dialect::Postgres, 7),
         Dialect::Postgres,
         budget,
         opts(4),
-    );
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
     // Splitting one budget across four shards trades per-shard depth for
     // seed diversity; the union must stay within a few percent of the
     // single deep run (the values are deterministic, the margin guards
@@ -100,8 +127,15 @@ fn merged_coverage_is_sound() {
     // At equal *wall-clock* — every worker gets the budget the single
     // worker had — parallelism must strictly add coverage.
     let wall = Budget { units: budget.units * 4, snapshots: budget.snapshots };
-    let four_wall =
-        run_campaign_parallel(lego_factory(Dialect::Postgres, 7), Dialect::Postgres, wall, opts(4));
+    let four_wall = run_campaign_parallel(
+        lego_factory(Dialect::Postgres, 7),
+        Dialect::Postgres,
+        wall,
+        opts(4),
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
     assert!(
         four_wall.branches >= one.branches,
         "equal-wall-clock parallel run lost coverage: {} < {}",
@@ -122,8 +156,15 @@ fn merged_coverage_is_sound() {
 #[test]
 fn bugs_are_deduplicated_across_workers() {
     let budget = Budget::units(40_000);
-    let stats =
-        run_campaign_parallel(lego_factory(Dialect::MariaDb, 1), Dialect::MariaDb, budget, opts(4));
+    let stats = run_campaign_parallel(
+        lego_factory(Dialect::MariaDb, 1),
+        Dialect::MariaDb,
+        budget,
+        opts(4),
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
     assert!(unique_stack_hashes(&stats), "duplicate bug report crossed the worker join");
 }
 
@@ -164,15 +205,58 @@ fn budget_overshoot_is_at_most_one_case_per_worker() {
     let per_case = {
         // Measure the actual unit cost of one case via a tiny serial run.
         let mut probe = FixedCase::new();
-        let one = run_campaign(&mut probe, Dialect::Postgres, Budget::units(1));
+        let one = run_campaign(
+            &mut probe,
+            Dialect::Postgres,
+            Budget::units(1),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         one.units
     };
     let factory = |_worker: usize| -> Box<dyn FuzzEngine + Send> { Box::new(FixedCase::new()) };
-    let stats = run_campaign_parallel(factory, Dialect::Postgres, budget, opts(4));
+    let stats = run_campaign_parallel(
+        factory,
+        Dialect::Postgres,
+        budget,
+        opts(4),
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
     assert!(stats.units >= budget.units, "budget underrun: {}", stats.units);
     assert!(
         stats.units < budget.units + 4 * per_case,
         "overshoot beyond one case per worker: {} (per-case cost {per_case})",
         stats.units
     );
+}
+
+#[test]
+fn factory_runs_once_per_worker_with_a_checkpoint_dir() {
+    // The checkpoint meta records the engine name. It must come from the
+    // workers' own engines, not from an extra factory call whose engine is
+    // built only to be thrown away.
+    let dir = std::env::temp_dir().join(format!("lego_parallel_factory_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let calls = AtomicUsize::new(0);
+    let inner = lego_factory(Dialect::Postgres, 11);
+    let factory = |w: usize| {
+        calls.fetch_add(1, Ordering::SeqCst);
+        inner(w)
+    };
+    let ckpt = CheckpointCfg { every_units: 1_000, dir: Some(dir.clone()), resume: None };
+    run_campaign_parallel(
+        factory,
+        Dialect::Postgres,
+        Budget::units(3_000),
+        opts(3),
+        &CampaignOpts { ckpt, ..CampaignOpts::default() },
+        &Telemetry::disabled(),
+    )
+    .unwrap();
+    assert_eq!(calls.load(Ordering::SeqCst), 3, "one factory call per worker");
+    assert!(dir.join("meta.json").is_file(), "checkpoint meta missing");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,8 +14,7 @@
 //! The fault flag is process-global, so every campaign-with-fault test
 //! lives in this binary and serializes on one lock.
 
-use lego::campaign::{run_campaign_durable, Budget, FuzzEngine};
-use lego::checkpoint::CheckpointCfg;
+use lego::campaign::{run_campaign, Budget, CampaignOpts, FuzzEngine};
 use lego::observe::{Event, MemorySink, Telemetry};
 use lego::oracle::{OracleKind, OracleSuite};
 use lego::OracleConfig;
@@ -82,14 +81,16 @@ SELECT * FROM t WHERE a > 5;";
 
 fn run_recovery_campaign(dir: &Path, tel: &Telemetry) -> lego::CampaignStats {
     let mut engine = Replay::new(&[VARIANT_A, VARIANT_B]);
-    run_campaign_durable(
+    run_campaign(
         &mut engine,
         Dialect::Postgres,
         Budget::units(400),
+        &CampaignOpts {
+            oracles: OracleConfig::recovery_only(),
+            wal_dir: Some(dir.to_path_buf()),
+            ..CampaignOpts::default()
+        },
         tel,
-        OracleConfig::recovery_only(),
-        &CheckpointCfg::disabled(),
-        Some(dir),
     )
     .expect("campaign completes")
 }

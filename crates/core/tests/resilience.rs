@@ -20,8 +20,7 @@
 //! in this binary on multiple threads).
 
 use lego::campaign::{
-    run_campaign, run_campaign_durable, run_campaign_parallel_resilient, run_campaign_resilient,
-    Budget, FuzzEngine, ParallelOpts,
+    run_campaign, run_campaign_parallel, Budget, CampaignOpts, FuzzEngine, ParallelOpts,
 };
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};
 use lego::fuzzer::{Config, LegoFuzzer};
@@ -124,7 +123,14 @@ fn engine_panic_becomes_a_recorded_finding_and_campaign_survives() {
     let _lock = fault_lock();
     let _fault = lego_dbms::faults::FaultGuard::enable_panic_on_create_trigger();
     let mut engine = ScriptedEngine::new(&SCRIPT);
-    let stats = run_campaign(&mut engine, Dialect::Postgres, Budget::units(150));
+    let stats = run_campaign(
+        &mut engine,
+        Dialect::Postgres,
+        Budget::units(150),
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
 
     // The campaign survived to budget exhaustion and recorded exactly one
     // deduplicated panic finding (the same panic re-fires every cycle).
@@ -152,14 +158,13 @@ fn panic_campaigns_are_deterministic_across_worker_counts() {
     for workers in [1usize, 3] {
         let opts = ParallelOpts { workers, sync_every: 4 };
         let run = || {
-            run_campaign_parallel_resilient(
+            run_campaign_parallel(
                 factory(),
                 Dialect::Postgres,
                 Budget::units(900),
                 opts,
+                &CampaignOpts::default(),
                 &Telemetry::disabled(),
-                OracleConfig::disabled(),
-                &CheckpointCfg::disabled(),
             )
             .expect("campaign completes")
         };
@@ -182,13 +187,12 @@ fn hang_guard_aborts_spinning_cases_and_never_retains_them() {
     let mem = Arc::new(MemorySink::new());
     let tel = Telemetry::builder().sink(mem.clone()).seed(1).build();
     let mut engine = ScriptedEngine::new(&SCRIPT);
-    let stats = run_campaign_resilient(
+    let stats = run_campaign(
         &mut engine,
         Dialect::Postgres,
         Budget::units(400),
+        &CampaignOpts::default(),
         &tel,
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
     )
     .expect("campaign completes");
 
@@ -225,14 +229,13 @@ fn dead_worker_forfeits_only_its_own_slice() {
             Box::new(ScriptedEngine::new(&SCRIPT))
         }
     };
-    let stats = run_campaign_parallel_resilient(
+    let stats = run_campaign_parallel(
         factory,
         Dialect::Postgres,
         Budget::units(900),
         ParallelOpts { workers: 3, sync_every: 2 },
+        &CampaignOpts::default(),
         &tel,
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
     )
     .expect("campaign must survive a dead worker");
 
@@ -275,13 +278,15 @@ fn serial_resume_is_byte_identical_to_uninterrupted_run() {
 
     // Uninterrupted run, checkpointing as it goes.
     let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg.clone());
-    let full = run_campaign_resilient(
+    let full = run_campaign(
         &mut engine,
         Dialect::Postgres,
         budget,
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: cadence, dir: Some(dir.clone()), resume: None },
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: Some(dir.clone()), resume: None },
     )
     .expect("full run completes");
 
@@ -290,13 +295,15 @@ fn serial_resume_is_byte_identical_to_uninterrupted_run() {
     let resume = load_campaign_checkpoint(&dir).expect("checkpoint loads");
     assert_eq!(resume.workers[0].seq, 1);
     let mut fresh = LegoFuzzer::new(Dialect::Postgres, cfg);
-    let resumed = run_campaign_resilient(
+    let resumed = run_campaign(
         &mut fresh,
         Dialect::Postgres,
         budget,
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
     )
     .expect("resumed run completes");
 
@@ -320,14 +327,16 @@ fn parallel_resume_is_byte_identical_to_uninterrupted_run() {
         Box::new(LegoFuzzer::new(Dialect::Postgres, Config { rng_seed, ..Config::default() }))
     };
 
-    let full = run_campaign_parallel_resilient(
+    let full = run_campaign_parallel(
         factory,
         Dialect::Postgres,
         budget,
         opts,
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: cadence, dir: Some(dir.clone()), resume: None },
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: Some(dir.clone()), resume: None },
     )
     .expect("full run completes");
 
@@ -337,14 +346,16 @@ fn parallel_resume_is_byte_identical_to_uninterrupted_run() {
     }
     let resume = load_campaign_checkpoint(&dir).expect("checkpoint loads");
     assert!(resume.workers.iter().all(|w| w.seq == 1));
-    let resumed = run_campaign_parallel_resilient(
+    let resumed = run_campaign_parallel(
         factory,
         Dialect::Postgres,
         budget,
         opts,
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
     )
     .expect("resumed run completes");
 
@@ -371,14 +382,17 @@ fn serial_resume_with_recovery_oracle_is_byte_identical() {
     let oracles = OracleConfig::recovery_only();
 
     let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg.clone());
-    let full = run_campaign_durable(
+    let full = run_campaign(
         &mut engine,
         Dialect::Postgres,
         budget,
+        &CampaignOpts {
+            oracles,
+            ckpt: CheckpointCfg { every_units: cadence, dir: Some(ckpt_dir.clone()), resume: None },
+            wal_dir: Some(wal_a.clone()),
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        oracles,
-        &CheckpointCfg { every_units: cadence, dir: Some(ckpt_dir.clone()), resume: None },
-        Some(&wal_a),
     )
     .expect("full run completes");
 
@@ -391,14 +405,17 @@ fn serial_resume_with_recovery_oracle_is_byte_identical() {
     // The checkpoint recorded that the recovery oracle was on.
     assert_eq!(resume.meta.oracles, (false, false, false, true));
     let mut fresh = LegoFuzzer::new(Dialect::Postgres, cfg);
-    let resumed = run_campaign_durable(
+    let resumed = run_campaign(
         &mut fresh,
         Dialect::Postgres,
         budget,
+        &CampaignOpts {
+            oracles,
+            ckpt: CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
+            wal_dir: Some(wal_b.clone()),
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        oracles,
-        &CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
-        Some(&wal_b),
     )
     .expect("resumed run completes");
 
@@ -420,25 +437,29 @@ fn resume_rejects_a_mismatched_worker_count() {
         let rng_seed = 7 ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         Box::new(LegoFuzzer::new(Dialect::Postgres, Config { rng_seed, ..Config::default() }))
     };
-    run_campaign_parallel_resilient(
+    run_campaign_parallel(
         factory,
         Dialect::Postgres,
         Budget::units(6_000),
         ParallelOpts { workers: 2, sync_every: 4 },
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: 2_000, dir: Some(dir.clone()), resume: None },
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: 2_000, dir: Some(dir.clone()), resume: None },
     )
     .expect("seeding run completes");
     let resume = load_campaign_checkpoint(&dir).expect("checkpoint loads");
-    let err = run_campaign_parallel_resilient(
+    let err = run_campaign_parallel(
         factory,
         Dialect::Postgres,
         Budget::units(6_000),
         ParallelOpts { workers: 3, sync_every: 4 },
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: 2_000, dir: None, resume: Some(resume) },
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: 2_000, dir: None, resume: Some(resume) },
     )
     .unwrap_err();
     assert!(err.contains("worker count"), "unexpected error: {err}");

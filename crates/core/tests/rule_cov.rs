@@ -11,14 +11,12 @@
 //!   sequence feedback alone reject.
 
 use lego::campaign::{
-    run_campaign_durable, run_campaign_full, run_campaign_parallel_durable,
-    run_campaign_parallel_full, Budget, FuzzEngine, ParallelOpts,
+    run_campaign, run_campaign_parallel, Budget, CampaignOpts, FuzzEngine, ParallelOpts,
 };
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::Telemetry;
 use lego_dbms::ExecReport;
-use lego_oracle::OracleConfig;
 use lego_sqlast::{Dialect, TestCase};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -32,15 +30,12 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 /// Serial campaign with the rule-coverage flag, everything else disabled.
 fn serial(engine: &mut dyn FuzzEngine, rule_cov: bool) -> lego::CampaignStats {
-    run_campaign_full(
+    run_campaign(
         engine,
         Dialect::Postgres,
         Budget::units(20_000),
+        &CampaignOpts { rule_cov, ..CampaignOpts::default() },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-        None,
-        rule_cov,
     )
     .expect("campaign without checkpointing cannot fail")
 }
@@ -57,14 +52,12 @@ fn factory(base_seed: u64, rule_cov: bool) -> impl Fn(usize) -> Box<dyn FuzzEngi
 fn off_flag_is_byte_identical_to_the_durable_path() {
     let cfg = Config { rng_seed: 0x1e60, ..Config::default() };
     let mut a = LegoFuzzer::new(Dialect::Postgres, cfg.clone());
-    let durable = run_campaign_durable(
+    let durable = run_campaign(
         &mut a,
         Dialect::Postgres,
         Budget::units(20_000),
+        &CampaignOpts::default(),
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-        None,
     )
     .unwrap();
     let mut b = LegoFuzzer::new(Dialect::Postgres, cfg);
@@ -95,16 +88,13 @@ fn workers1_parallel_full_is_byte_identical_to_serial_full() {
     let cfg = Config { rng_seed: 0x5eed, rule_cov: true, ..Config::default() };
     let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg);
     let serial_stats = serial(&mut engine, true);
-    let parallel = run_campaign_parallel_full(
+    let parallel = run_campaign_parallel(
         factory(0x5eed, true),
         Dialect::Postgres,
         Budget::units(20_000),
         ParallelOpts { workers: 1, sync_every: 4 },
+        &CampaignOpts { rule_cov: true, ..CampaignOpts::default() },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-        None,
-        true,
     )
     .unwrap();
     assert_eq!(serial_stats.deterministic_json(), parallel.deterministic_json());
@@ -113,16 +103,13 @@ fn workers1_parallel_full_is_byte_identical_to_serial_full() {
 #[test]
 fn three_worker_rule_cov_rerun_is_byte_identical() {
     let run = |rule_cov: bool| {
-        run_campaign_parallel_full(
+        run_campaign_parallel(
             factory(42, rule_cov),
             Dialect::Postgres,
             Budget::units(24_000),
             ParallelOpts { workers: 3, sync_every: 4 },
+            &CampaignOpts { rule_cov, ..CampaignOpts::default() },
             &Telemetry::disabled(),
-            OracleConfig::disabled(),
-            &CheckpointCfg::disabled(),
-            None,
-            rule_cov,
         )
         .unwrap()
     };
@@ -132,15 +119,13 @@ fn three_worker_rule_cov_rerun_is_byte_identical() {
     assert!(a.rule_branches > 10, "merged rule map barely populated: {}", a.rule_branches);
     // And the off flag stays identical to the pre-existing parallel path.
     let off = run(false);
-    let durable = run_campaign_parallel_durable(
+    let durable = run_campaign_parallel(
         factory(42, false),
         Dialect::Postgres,
         Budget::units(24_000),
         ParallelOpts { workers: 3, sync_every: 4 },
+        &CampaignOpts::default(),
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-        None,
     )
     .unwrap();
     assert_eq!(off.deterministic_json(), durable.deterministic_json());
@@ -227,15 +212,16 @@ fn serial_rule_cov_resume_is_byte_identical() {
     let cfg = Config { rng_seed: 0x1e60, rule_cov: true, ..Config::default() };
 
     let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg.clone());
-    let full = run_campaign_full(
+    let full = run_campaign(
         &mut engine,
         Dialect::Postgres,
         budget,
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: cadence, dir: Some(dir.clone()), resume: None },
+            rule_cov: true,
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: Some(dir.clone()), resume: None },
-        None,
-        true,
     )
     .expect("full run completes");
 
@@ -250,30 +236,31 @@ fn serial_rule_cov_resume_is_byte_identical() {
     // Resuming under the opposite flag would change the exploration order;
     // the campaign must refuse rather than silently diverge.
     let mut wrong = LegoFuzzer::new(Dialect::Postgres, cfg.clone());
-    let err = run_campaign_full(
+    let err = run_campaign(
         &mut wrong,
         Dialect::Postgres,
         budget,
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
-        None,
-        false,
     )
     .expect_err("flag mismatch must be rejected");
     assert!(err.contains("rule_cov"), "unhelpful mismatch error: {err}");
 
     let resume = load_campaign_checkpoint(&dir).expect("checkpoint reloads");
     let mut fresh = LegoFuzzer::new(Dialect::Postgres, cfg);
-    let resumed = run_campaign_full(
+    let resumed = run_campaign(
         &mut fresh,
         Dialect::Postgres,
         budget,
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
+            rule_cov: true,
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
-        None,
-        true,
     )
     .expect("resumed run completes");
     assert_eq!(

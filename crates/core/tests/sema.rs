@@ -12,13 +12,11 @@
 //!   statements move `raw_validity_pct` below `validity_pct`.
 
 use lego::campaign::{
-    run_campaign_full, run_campaign_parallel_full, run_campaign_parallel_sema, run_campaign_sema,
-    Budget, FuzzEngine, ParallelOpts,
+    run_campaign, run_campaign_parallel, Budget, CampaignOpts, FuzzEngine, ParallelOpts,
 };
 use lego::checkpoint::{load_campaign_checkpoint, CheckpointCfg};
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::observe::Telemetry;
-use lego_oracle::OracleConfig;
 use lego_sqlast::Dialect;
 use std::path::PathBuf;
 
@@ -31,16 +29,12 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 /// Serial campaign with the analyzer flag, everything else disabled.
 fn serial(engine: &mut dyn FuzzEngine, sema: bool) -> lego::CampaignStats {
-    run_campaign_sema(
+    run_campaign(
         engine,
         Dialect::Postgres,
         Budget::units(20_000),
+        &CampaignOpts { sema, ..CampaignOpts::default() },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-        None,
-        false,
-        sema,
     )
     .expect("campaign without checkpointing cannot fail")
 }
@@ -57,15 +51,12 @@ fn factory(base_seed: u64, sema: bool) -> impl Fn(usize) -> Box<dyn FuzzEngine +
 fn off_flag_is_byte_identical_to_the_full_path() {
     let cfg = Config { rng_seed: 0x1e60, ..Config::default() };
     let mut a = LegoFuzzer::new(Dialect::Postgres, cfg.clone());
-    let full = run_campaign_full(
+    let full = run_campaign(
         &mut a,
         Dialect::Postgres,
         Budget::units(20_000),
+        &CampaignOpts::default(),
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-        None,
-        false,
     )
     .unwrap();
     let mut b = LegoFuzzer::new(Dialect::Postgres, cfg);
@@ -112,17 +103,13 @@ fn workers1_parallel_sema_is_byte_identical_to_serial_sema() {
     let cfg = Config { rng_seed: 0x5eed, sema: true, ..Config::default() };
     let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg);
     let serial_stats = serial(&mut engine, true);
-    let parallel = run_campaign_parallel_sema(
+    let parallel = run_campaign_parallel(
         factory(0x5eed, true),
         Dialect::Postgres,
         Budget::units(20_000),
         ParallelOpts { workers: 1, sync_every: 4 },
+        &CampaignOpts { sema: true, ..CampaignOpts::default() },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-        None,
-        false,
-        true,
     )
     .unwrap();
     assert_eq!(serial_stats.deterministic_json(), parallel.deterministic_json());
@@ -131,17 +118,13 @@ fn workers1_parallel_sema_is_byte_identical_to_serial_sema() {
 #[test]
 fn three_worker_sema_rerun_is_byte_identical() {
     let run = |sema: bool| {
-        run_campaign_parallel_sema(
+        run_campaign_parallel(
             factory(42, sema),
             Dialect::Postgres,
             Budget::units(24_000),
             ParallelOpts { workers: 3, sync_every: 4 },
+            &CampaignOpts { sema, ..CampaignOpts::default() },
             &Telemetry::disabled(),
-            OracleConfig::disabled(),
-            &CheckpointCfg::disabled(),
-            None,
-            false,
-            sema,
         )
         .unwrap()
     };
@@ -151,16 +134,13 @@ fn three_worker_sema_rerun_is_byte_identical() {
     assert!(a.sema_rejects > 0, "no worker rejected anything within the budget");
     // And the off flag stays identical to the pre-existing parallel path.
     let off = run(false);
-    let full = run_campaign_parallel_full(
+    let full = run_campaign_parallel(
         factory(42, false),
         Dialect::Postgres,
         Budget::units(24_000),
         ParallelOpts { workers: 3, sync_every: 4 },
+        &CampaignOpts::default(),
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-        None,
-        false,
     )
     .unwrap();
     assert_eq!(off.deterministic_json(), full.deterministic_json());
@@ -184,16 +164,16 @@ fn serial_sema_resume_is_byte_identical() {
     let cfg = Config { rng_seed: 0x1e60, sema: true, ..Config::default() };
 
     let mut engine = LegoFuzzer::new(Dialect::Postgres, cfg.clone());
-    let full = run_campaign_sema(
+    let full = run_campaign(
         &mut engine,
         Dialect::Postgres,
         budget,
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: cadence, dir: Some(dir.clone()), resume: None },
+            sema: true,
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: Some(dir.clone()), resume: None },
-        None,
-        false,
-        true,
     )
     .expect("full run completes");
 
@@ -205,32 +185,31 @@ fn serial_sema_resume_is_byte_identical() {
     // and the exploration order; the campaign must refuse rather than
     // silently diverge.
     let mut wrong = LegoFuzzer::new(Dialect::Postgres, cfg.clone());
-    let err = run_campaign_sema(
+    let err = run_campaign(
         &mut wrong,
         Dialect::Postgres,
         budget,
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
-        None,
-        false,
-        false,
     )
     .expect_err("flag mismatch must be rejected");
     assert!(err.contains("sema"), "unhelpful mismatch error: {err}");
 
     let resume = load_campaign_checkpoint(&dir).expect("checkpoint reloads");
     let mut fresh = LegoFuzzer::new(Dialect::Postgres, cfg);
-    let resumed = run_campaign_sema(
+    let resumed = run_campaign(
         &mut fresh,
         Dialect::Postgres,
         budget,
+        &CampaignOpts {
+            ckpt: CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
+            sema: true,
+            ..CampaignOpts::default()
+        },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg { every_units: cadence, dir: None, resume: Some(resume) },
-        None,
-        false,
-        true,
     )
     .expect("resumed run completes");
     assert_eq!(

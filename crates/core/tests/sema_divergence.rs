@@ -11,11 +11,10 @@
 //!
 //! Kept in its own test binary: the fault switch is global to the process.
 
-use lego::campaign::{run_campaign_sema, Budget, FuzzEngine};
-use lego::checkpoint::CheckpointCfg;
+use lego::campaign::{run_campaign, Budget, CampaignOpts, FuzzEngine};
 use lego::observe::Telemetry;
 use lego_dbms::ExecReport;
-use lego_oracle::{OracleConfig, OracleKind};
+use lego_oracle::OracleKind;
 use lego_sqlast::{Dialect, TestCase};
 use lego_sqlsema::faults::FaultGuard;
 use std::sync::Arc;
@@ -63,16 +62,12 @@ fn planted_overacceptance_yields_exactly_one_reduced_divergence_finding() {
         "CREATE TABLE t1 (c0 INT); SELECT c0 FROM t1;",
         "CREATE TABLE t2 (c0 INT); INSERT INTO t2 (c0) VALUES (7); COMMIT; SELECT c0 FROM t2;",
     ]);
-    let stats = run_campaign_sema(
+    let stats = run_campaign(
         &mut engine,
         Dialect::Postgres,
         Budget::units(2_000),
+        &CampaignOpts { sema: true, ..CampaignOpts::default() },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-        None,
-        false,
-        true,
     )
     .expect("campaign completes");
 
@@ -110,16 +105,12 @@ fn healthy_analyzer_reports_no_divergence_on_the_same_fixtures() {
         "CREATE TABLE t0 (c0 INT); INSERT INTO t0 (c0) VALUES (1); COMMIT; SELECT c0 FROM t0;",
         "CREATE TABLE t1 (c0 INT); SELECT c0 FROM t1;",
     ]);
-    let stats = run_campaign_sema(
+    let stats = run_campaign(
         &mut engine,
         Dialect::Postgres,
         Budget::units(2_000),
+        &CampaignOpts { sema: true, ..CampaignOpts::default() },
         &Telemetry::disabled(),
-        OracleConfig::disabled(),
-        &CheckpointCfg::disabled(),
-        None,
-        false,
-        true,
     )
     .expect("campaign completes");
     assert_eq!(stats.sema_divergences, 0);

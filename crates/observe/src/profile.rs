@@ -11,18 +11,12 @@ use crate::event::MutOp;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The campaign pipeline stages whose wall time is profiled.
-///
-/// `Mutation` is charged from *inside* the engine while the driver is
-/// charging `Generation` (scheduling + queue management + mutation +
-/// instantiation), so `Mutation` is a nested subset of `Generation`;
-/// the remaining stages are disjoint top-level slices of the loop.
+/// The campaign pipeline stages whose wall time is profiled: disjoint
+/// top-level slices of the campaign loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// `FuzzEngine::next_case` — scheduling, mutation and instantiation.
     Generation,
-    /// Engine-internal mutant construction (subset of `Generation`).
-    Mutation,
     /// `Dbms::execute_case`.
     Execution,
     /// Merging per-case coverage into the global/shard map (+ worker sync).
@@ -44,12 +38,11 @@ pub enum Stage {
     Sema,
 }
 
-pub const STAGE_COUNT: usize = 10;
+pub const STAGE_COUNT: usize = 9;
 
 impl Stage {
     pub const ALL: [Stage; STAGE_COUNT] = [
         Stage::Generation,
-        Stage::Mutation,
         Stage::Execution,
         Stage::CoverageUnion,
         Stage::Dedup,
@@ -63,7 +56,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::Generation => "generation",
-            Stage::Mutation => "mutation",
             Stage::Execution => "execution",
             Stage::CoverageUnion => "coverage_union",
             Stage::Dedup => "dedup",
@@ -78,22 +70,15 @@ impl Stage {
     pub(crate) fn index(self) -> usize {
         match self {
             Stage::Generation => 0,
-            Stage::Mutation => 1,
-            Stage::Execution => 2,
-            Stage::CoverageUnion => 3,
-            Stage::Dedup => 4,
-            Stage::Feedback => 5,
-            Stage::Oracle => 6,
-            Stage::Recovery => 7,
-            Stage::Checkpoint => 8,
-            Stage::Sema => 9,
+            Stage::Execution => 1,
+            Stage::CoverageUnion => 2,
+            Stage::Dedup => 3,
+            Stage::Feedback => 4,
+            Stage::Oracle => 5,
+            Stage::Recovery => 6,
+            Stage::Checkpoint => 7,
+            Stage::Sema => 8,
         }
-    }
-
-    /// Whether this stage is a disjoint top-level slice of the campaign
-    /// loop (share percentages are computed over these only).
-    fn top_level(self) -> bool {
-        self != Stage::Mutation
     }
 }
 
@@ -136,11 +121,7 @@ impl StageAccum {
 
     /// Snapshot into the serializable report.
     pub fn report(&self) -> StageProfile {
-        let top_total_ns: u64 = Stage::ALL
-            .iter()
-            .filter(|s| s.top_level())
-            .map(|s| self.ns[s.index()].load(Ordering::Relaxed))
-            .sum();
+        let total_ns: u64 = self.ns.iter().map(|n| n.load(Ordering::Relaxed)).sum();
         let stages = Stage::ALL
             .iter()
             .map(|&s| {
@@ -149,10 +130,10 @@ impl StageAccum {
                     stage: s.name().to_string(),
                     calls: self.calls[s.index()].load(Ordering::Relaxed),
                     total_ms: ns as f64 / 1e6,
-                    share_pct: if top_total_ns == 0 {
+                    share_pct: if total_ns == 0 {
                         0.0
                     } else {
-                        ns as f64 * 100.0 / top_total_ns as f64
+                        ns as f64 * 100.0 / total_ns as f64
                     },
                 }
             })
@@ -175,8 +156,7 @@ pub struct StageEntry {
     pub stage: String,
     pub calls: u64,
     pub total_ms: f64,
-    /// Share of the summed top-level stage time. `mutation` is a nested
-    /// subset of `generation`, so shares exclude it from the denominator.
+    /// Share of the summed stage time.
     pub share_pct: f64,
 }
 
@@ -199,12 +179,9 @@ pub struct StageProfile {
 }
 
 impl StageProfile {
-    /// The top-level stage with the largest share — "where did the time go".
+    /// The stage with the largest share — "where did the time go".
     pub fn hottest_stage(&self) -> Option<&StageEntry> {
-        self.stages
-            .iter()
-            .filter(|e| e.stage != "mutation")
-            .max_by(|a, b| a.total_ms.total_cmp(&b.total_ms))
+        self.stages.iter().max_by(|a, b| a.total_ms.total_cmp(&b.total_ms))
     }
 }
 
@@ -216,7 +193,6 @@ mod tests {
     fn shares_are_computed_over_top_level_stages() {
         let acc = StageAccum::default();
         acc.charge(Stage::Generation, 3_000_000);
-        acc.charge(Stage::Mutation, 2_000_000); // nested in generation
         acc.charge(Stage::Execution, 7_000_000);
         let p = acc.report();
         let gen = p.stages.iter().find(|e| e.stage == "generation").unwrap();

@@ -4,9 +4,7 @@
 //! stage call, on a per-worker track (`tid` = worker index; the serial
 //! driver is worker 0). [`Telemetry::time`](crate::Telemetry::time) feeds it
 //! the same measurement it charges to the stage accumulators, so the trace
-//! is a faithful expansion of the aggregate stage profile. `Mutation` spans
-//! nest inside their enclosing `Generation` span on the same track, which
-//! trace viewers render as nested slices.
+//! is a faithful expansion of the aggregate stage profile.
 //!
 //! The collector is bounded: past [`DEFAULT_SPAN_CAP`] spans it counts
 //! drops instead of growing without limit, so `--trace` on a long campaign

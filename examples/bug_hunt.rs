@@ -36,7 +36,14 @@ fn main() {
     // --- Part 2: let LEGO find sequence bugs in MariaDB on its own. --------
     println!("\n=== LEGO vs MariaDB (300k units) ===");
     let mut fuzzer = LegoFuzzer::new(Dialect::MariaDb, Config::default());
-    let stats = run_campaign(&mut fuzzer, Dialect::MariaDb, Budget::units(300_000));
+    let stats = run_campaign(
+        &mut fuzzer,
+        Dialect::MariaDb,
+        Budget::units(300_000),
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
     println!("{} executions, {} branches, {} bugs:", stats.execs, stats.branches, stats.bugs.len());
     for bug in &stats.bugs {
         println!(

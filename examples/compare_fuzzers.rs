@@ -24,7 +24,14 @@ fn main() {
     }
     for name in names {
         let mut engine = engine_by_name(name, dialect, 0x1e60);
-        let stats = run_campaign(engine.as_mut(), dialect, Budget::units(units));
+        let stats = run_campaign(
+            engine.as_mut(),
+            dialect,
+            Budget::units(units),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         println!(
             "{:<9} {:>9} {:>9} {:>11} {:>6}",
             stats.fuzzer,

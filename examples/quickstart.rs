@@ -17,7 +17,14 @@ fn main() {
     // 3. Run the campaign. Each test case executes against a fresh simulated
     //    PostgreSQL; coverage feedback drives affinity analysis and
     //    progressive sequence synthesis.
-    let stats = run_campaign(&mut fuzzer, Dialect::Postgres, budget);
+    let stats = run_campaign(
+        &mut fuzzer,
+        Dialect::Postgres,
+        budget,
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
 
     println!("fuzzer            : {}", stats.fuzzer);
     println!("test cases run    : {}", stats.execs);

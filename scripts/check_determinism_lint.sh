@@ -34,6 +34,7 @@ cd "$(dirname "$0")/.."
 files=(
   crates/core/src/fuzzer.rs
   crates/core/src/campaign.rs
+  crates/core/src/campaign/findings.rs
   crates/core/src/mutation.rs
   crates/core/src/synthesis.rs
   crates/core/src/checkpoint.rs

@@ -62,7 +62,14 @@ fn every_engine_runs_on_every_dialect() {
     for dialect in Dialect::ALL {
         for name in ["LEGO", "LEGO-", "SQUIRREL", "SQLancer", "SQLsmith"] {
             let mut engine = engine_by_name(name, dialect, 11);
-            let stats = run_campaign(engine.as_mut(), dialect, Budget::units(2_000));
+            let stats = run_campaign(
+                engine.as_mut(),
+                dialect,
+                Budget::units(2_000),
+                &CampaignOpts::default(),
+                &Telemetry::disabled(),
+            )
+            .unwrap();
             assert!(stats.branches > 0, "{name} on {dialect:?} covered nothing");
             assert!(stats.execs > 0);
         }
@@ -74,7 +81,14 @@ fn campaigns_are_deterministic_given_a_seed() {
     let run = || {
         let mut fz =
             LegoFuzzer::new(Dialect::MariaDb, Config { rng_seed: 123, ..Config::default() });
-        let stats = run_campaign(&mut fz, Dialect::MariaDb, Budget::units(20_000));
+        let stats = run_campaign(
+            &mut fz,
+            Dialect::MariaDb,
+            Budget::units(20_000),
+            &CampaignOpts::default(),
+            &Telemetry::disabled(),
+        )
+        .unwrap();
         (
             stats.branches,
             stats.execs,
@@ -103,7 +117,14 @@ fn coverage_feedback_actually_guides_lego() {
     // With feedback wired, the retained corpus grows beyond the seeds and
     // the affinity map grows beyond the seed affinities.
     let mut fz = LegoFuzzer::new(Dialect::Postgres, Config::default());
-    let stats = run_campaign(&mut fz, Dialect::Postgres, Budget::units(40_000));
+    let stats = run_campaign(
+        &mut fz,
+        Dialect::Postgres,
+        Budget::units(40_000),
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
     assert!(stats.corpus_size > 10);
     assert!(stats.corpus_affinities > 30);
 }
@@ -113,7 +134,14 @@ fn crashing_case_sql_reproduces_its_bug() {
     // Every bug report carries a SQL reproducer; replaying it on a fresh
     // instance must re-trigger the same bug.
     let mut fz = LegoFuzzer::new(Dialect::MariaDb, Config::default());
-    let stats = run_campaign(&mut fz, Dialect::MariaDb, Budget::units(300_000));
+    let stats = run_campaign(
+        &mut fz,
+        Dialect::MariaDb,
+        Budget::units(300_000),
+        &CampaignOpts::default(),
+        &Telemetry::disabled(),
+    )
+    .unwrap();
     assert!(!stats.bugs.is_empty(), "expected at least one MariaDB bug");
     for bug in stats.bugs.iter().take(3) {
         let r = Dbms::new(Dialect::MariaDb).execute_script(&bug.case_sql);
