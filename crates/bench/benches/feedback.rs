@@ -1,11 +1,12 @@
 //! Criterion group for the feedback-stage hot paths — the operations that
 //! run once per executed case and used to dominate campaign wall time:
 //! n-gram memory probes, affinity analysis, coverage classification
-//! (sparse walk vs word scan), and the parallel coverage-sync publish.
+//! (sparse walk vs word scan), the parallel coverage-sync publish, and
+//! synthesis against a saturated sequence store.
 //!
 //! `scripts/check_bench_gate.sh` does not consume these numbers (it gates
-//! on the end-to-end profile in `results/BENCH_throughput.json`); this group
-//! exists to localize a regression once the gate trips.
+//! on the end-to-end ladder in `BENCH_throughput.json` at the repository
+//! root); this group exists to localize a regression once the gate trips.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lego::affinity::{corpus_affinities, AffinityMap};
@@ -13,6 +14,7 @@ use lego::campaign::FuzzEngine;
 use lego::fuzzer::{Config, LegoFuzzer};
 use lego::ngram::{pack_window, NgramSet};
 use lego::seeds::initial_corpus;
+use lego::synthesis::SequenceStore;
 use lego_coverage::{CovMap, CovRecorder, CoverageSink, GlobalCoverage, SiteId};
 use lego_sqlast::{Dialect, StmtKind};
 use std::time::Duration;
@@ -146,6 +148,31 @@ fn bench_engine_feedback(c: &mut Criterion) {
     });
 }
 
+fn bench_saturated_store(c: &mut Criterion) {
+    // Past the store cap every new affinity used to re-run a full, unpruned
+    // Algorithm 3 descent that could record nothing. Fill the store from a
+    // dense graph over 24 kinds (346k sequences of length ≤ 5 reachable, above
+    // the cap) with one edge held back, then time discovering that edge.
+    let kinds: Vec<StmtKind> = StmtKind::all().into_iter().take(24).collect();
+    let held_back = (kinds[0], kinds[1]);
+    let mut map = AffinityMap::new();
+    let mut store = SequenceStore::new(5, &kinds[..1]);
+    for &a in &kinds {
+        for &b in &kinds {
+            if (a, b) != held_back {
+                map.insert(a, b);
+                store.on_new_affinity(a, b, &map, usize::MAX);
+            }
+        }
+    }
+    assert!(store.is_full(), "the dense graph must fill the store ({} sequences)", store.len());
+    map.insert(held_back.0, held_back.1);
+    let limit = Config::default().synth_limit_per_affinity;
+    c.bench_function("feedback/synthesis_saturated_store", |b| {
+        b.iter(|| store.on_new_affinity(held_back.0, held_back.1, black_box(&map), limit).len())
+    });
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -157,6 +184,7 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_ngram, bench_affinity, bench_classify, bench_sink, bench_engine_feedback
+    targets = bench_ngram, bench_affinity, bench_classify, bench_sink, bench_engine_feedback,
+        bench_saturated_store
 }
 criterion_main!(benches);

@@ -379,6 +379,11 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
         stats.validity_pct(),
         stats.bugs.len()
     );
+    // Present only when a monitoring flag enabled telemetry; the CLI never
+    // turns the profiler on by itself.
+    if let Some(profile) = &stats.stage_profile {
+        println!("stage profile: {}", profile.summary());
+    }
     if rule_cov {
         // Kept on its own line: scripts/check_rule_cov.sh scrapes it.
         println!("rule branches: {}", stats.rule_branches);

@@ -37,7 +37,10 @@ pub struct SequenceStore {
     max_len: usize,
     /// Global cap on stored sequences (state-explosion guard, § II C1).
     cap: usize,
-    /// How many sequences were dropped due to caps (reported, never silent).
+    /// How often a synthesis walk was cut short (reported, never silent):
+    /// one count for every frame of the walk that a per-call `limit` trip
+    /// unwinds, plus one per call that filled the store or found it full —
+    /// the walk stops there, as nothing more can be recorded.
     pub truncated: usize,
 }
 
@@ -92,6 +95,12 @@ impl SequenceStore {
         self.seqs.is_empty()
     }
 
+    /// Whether `S` holds `cap` sequences: from then on nothing can be
+    /// recorded, so synthesis returns without walking.
+    pub fn is_full(&self) -> bool {
+        self.seqs.len() >= self.cap
+    }
+
     /// Materialize the stored sequences in record order (checkpoint
     /// serialization and tests; campaigns never call this per case).
     pub fn sequences(&self) -> Vec<Vec<StmtKind>> {
@@ -100,14 +109,11 @@ impl SequenceStore {
 
     /// Record a sequence given its packed key, length, and final type;
     /// returns `true` if it was genuinely new and under the cap. Callers on
-    /// the synthesis walk pre-prune via `seen`, so a duplicate here is only
-    /// possible from `new`/`from_parts` replays.
+    /// the synthesis walk pre-prune via `seen` and stop once the store is
+    /// full, so a rejection here is only possible from `new`/`from_parts`
+    /// replays.
     fn record(&mut self, key: u128, len: usize, last: StmtKind) -> bool {
-        if self.seen.contains(key) {
-            return false;
-        }
-        if self.seqs.len() >= self.cap {
-            self.truncated += 1;
+        if self.seen.contains(key) || self.is_full() {
             return false;
         }
         self.seen.insert(key);
@@ -127,6 +133,12 @@ impl SequenceStore {
     /// every new sequence (≤ `LEN`) containing it, up to `limit` sequences
     /// per call (an engineering guard; overflow is counted in `truncated`).
     /// Returns the new sequences as packed keys, in discovery order.
+    ///
+    /// The walk stops as soon as the store is full. Past the cap `record`
+    /// can add nothing, so the rest of the walk could only return nothing
+    /// and change nothing but `truncated` — and because cap rejections never
+    /// enter `seen`, closure pruning no longer bounds it: it would be a full
+    /// descent per call. Stopping returns the same keys in the same order.
     pub fn on_new_affinity(
         &mut self,
         t1: StmtKind,
@@ -134,6 +146,10 @@ impl SequenceStore {
         map: &AffinityMap,
         limit: usize,
     ) -> Vec<u128> {
+        if self.is_full() {
+            self.truncated += 1;
+            return Vec::new();
+        }
         let t2_lane = t2.code() as u128 + 1;
         let mut out: Vec<u128> = Vec::new();
         for level in 1..self.max_len {
@@ -163,6 +179,10 @@ impl SequenceStore {
                     out.push(key);
                 }
                 self.list_seq(level + 1, t2, key, map, limit, &mut out);
+                if self.is_full() {
+                    self.truncated += 1;
+                    return out;
+                }
             }
         }
         out
@@ -170,6 +190,8 @@ impl SequenceStore {
 
     /// The recursive `listSeq` of Algorithm 3: extend the length-`level`
     /// sequence `key` with every affinity-compatible next type until `LEN`.
+    /// Returns early once the store is full; `on_new_affinity` counts that
+    /// cut once per call.
     fn list_seq(
         &mut self,
         level: usize,
@@ -179,7 +201,7 @@ impl SequenceStore {
         limit: usize,
         out: &mut Vec<u128>,
     ) {
-        if level >= self.max_len {
+        if level >= self.max_len || self.is_full() {
             return;
         }
         for next in map.successors(node_type) {
@@ -194,12 +216,18 @@ impl SequenceStore {
                 continue;
             }
             self.list_seq(level + 1, next, child, map, limit, out);
+            if self.is_full() {
+                return;
+            }
             if out.len() >= limit {
                 self.truncated += 1;
                 return;
             }
             if self.record(child, level + 1, next) {
                 out.push(child);
+                if self.is_full() {
+                    return;
+                }
             }
         }
     }
@@ -335,6 +363,101 @@ mod tests {
             a.on_new_affinity(INS, SEL, &map, 1000),
             b.on_new_affinity(INS, SEL, &map, 1000)
         );
+    }
+
+    /// A store on LEN 4 over a dense four-kind graph, grown by replaying
+    /// every affinity but `CT → INS`, plus the map that includes it.
+    fn dense_store() -> (SequenceStore, AffinityMap) {
+        let mut map = AffinityMap::new();
+        let mut store = SequenceStore::new(4, &[CT]);
+        let kinds = [CT, INS, SEL, UPD];
+        for &a in &kinds {
+            for &b in &kinds {
+                if (a, b) != (CT, INS) {
+                    map.insert(a, b);
+                    store.on_new_affinity(a, b, &map, 10_000);
+                }
+            }
+        }
+        map.insert(CT, INS);
+        (store, map)
+    }
+
+    /// For every cap the call can reach, the capped call returns exactly the
+    /// first `cap - len_before` keys of the uncapped call and stops with a
+    /// full store.
+    fn assert_capped_prefixes(
+        base: &SequenceStore,
+        (t1, t2): (StmtKind, StmtKind),
+        map: &AffinityMap,
+        limit: usize,
+    ) {
+        let full = base.clone().on_new_affinity(t1, t2, map, limit);
+        assert!(!full.is_empty());
+        for k in 1..=full.len() {
+            let mut capped = base.clone();
+            capped.cap = base.len() + k;
+            let got = capped.on_new_affinity(t1, t2, map, limit);
+            assert_eq!(got, full[..k], "cap {} (k = {k})", capped.cap);
+            assert!(capped.is_full());
+            assert_eq!(capped.sequences()[base.len()..], unpacked(&got)[..]);
+        }
+    }
+
+    #[test]
+    fn a_capped_walk_returns_the_uncapped_prefix() {
+        // Hand-sized walk: [CT, INS] is recorded by the pre-order loop of
+        // `on_new_affinity`, then [CT, INS, SEL] and [CT, INS, UPD] by the
+        // post-order `list_seq` — cap 2 crosses in the former, cap 3 in the
+        // latter.
+        let mut map = AffinityMap::new();
+        map.insert(INS, SEL);
+        map.insert(INS, UPD);
+        map.insert(CT, INS);
+        let store = SequenceStore::new(3, &[CT]);
+        let full = store.clone().on_new_affinity(CT, INS, &map, 1000);
+        assert_eq!(unpacked(&full), vec![vec![CT, INS], vec![CT, INS, SEL], vec![CT, INS, UPD]]);
+        assert_capped_prefixes(&store, (CT, INS), &map, 1000);
+
+        // Dense graph on a grown store, with and without the per-call limit
+        // tripping first.
+        let (store, map) = dense_store();
+        assert_capped_prefixes(&store, (CT, INS), &map, 10_000);
+        assert_capped_prefixes(&store, (CT, INS), &map, 7);
+    }
+
+    #[test]
+    fn a_full_store_refuses_without_walking() {
+        let (mut store, map) = dense_store();
+        store.cap = store.len();
+        assert!(store.is_full());
+        let (len, truncated) = (store.len(), store.truncated);
+        assert!(store.on_new_affinity(CT, INS, &map, 10_000).is_empty());
+        assert_eq!(store.len(), len);
+        assert_eq!(store.truncated, truncated + 1);
+
+        // Filling the store mid-call also counts exactly once, whatever the
+        // walk had left.
+        let (mut store, map) = dense_store();
+        store.cap = store.len() + 1;
+        let truncated = store.truncated;
+        assert_eq!(store.on_new_affinity(CT, INS, &map, 10_000).len(), 1);
+        assert_eq!(store.truncated, truncated + 1);
+    }
+
+    #[test]
+    fn a_store_rebuilt_from_a_full_one_keeps_refusing() {
+        let (mut store, map) = dense_store();
+        store.cap = store.len();
+        let mut rebuilt = SequenceStore::from_parts(4, store.sequences(), store.truncated);
+        rebuilt.cap = store.cap;
+        assert!(rebuilt.is_full());
+        for s in [&mut store, &mut rebuilt] {
+            let (len, truncated) = (s.len(), s.truncated);
+            assert!(s.on_new_affinity(CT, INS, &map, 10_000).is_empty());
+            assert_eq!((s.len(), s.truncated), (len, truncated + 1));
+        }
+        assert_eq!(rebuilt.sequences(), store.sequences());
     }
 
     #[test]

@@ -183,11 +183,31 @@ impl StageProfile {
     pub fn hottest_stage(&self) -> Option<&StageEntry> {
         self.stages.iter().max_by(|a, b| a.total_ms.total_cmp(&b.total_ms))
     }
+
+    /// One-line breakdown in stage order, e.g. `generation 39%, execution
+    /// 33%, feedback 27%`; stages that never ran are left out.
+    pub fn summary(&self) -> String {
+        self.stages
+            .iter()
+            .filter(|s| s.total_ms > 0.0 || s.share_pct > 0.0)
+            .map(|s| format!("{} {:.0}%", s.stage, s.share_pct))
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn summary_lists_stages_that_ran_in_stage_order() {
+        let acc = StageAccum::default();
+        acc.charge(Stage::Feedback, 1_000_000);
+        acc.charge(Stage::Generation, 3_000_000);
+        acc.charge(Stage::Execution, 6_000_000);
+        assert_eq!(acc.report().summary(), "generation 30%, execution 60%, feedback 10%");
+    }
 
     #[test]
     fn shares_are_computed_over_top_level_stages() {
